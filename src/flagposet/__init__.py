@@ -71,9 +71,11 @@ from .homology import (
     component_betti_assembly,
     first_strand_multidegrees,
     full_betti_table,
+    graded_betti_table,
     has_linear_resolution_oracle,
     is_cm_oracle,
     is_cm_poset_oracle,
+    lcm_lattice,
     reduced_cohomology_poly,
     restriction_cohomology_poly,
 )

@@ -6,6 +6,10 @@ the agreement.  Faces and hyperedges are encoded as integer bitmasks over
 a vertex numbering chosen by the caller.  This twin accepts masks of any
 width; the compiled twin is limited to 63 bits and the dispatcher in
 ``flagposet.kernel`` falls back here beyond that.
+
+Only this twin knows characteristic 0: ``cohomology_dims`` with p = 0
+computes over QQ through the fraction-free rank ``rank_qq``, and the
+dispatcher routes p = 0 here.
 """
 
 from __future__ import annotations
@@ -58,6 +62,37 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
                 row = mat[i]
                 for j in range(col, ncols):
                     row[j] = (row[j] - f * prow[j]) % p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def rank_qq(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over QQ of a dense integer matrix, by fraction-free (Bareiss)
+    elimination: every entry stays an integer minor of the input, so each
+    division by the previous pivot is exact."""
+    mat = [list(row) for row in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        pv = prow[col]
+        for i in range(rank + 1, len(mat)):
+            row = mat[i]
+            f = row[col]
+            if f:
+                mat[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif pv != prev:
+                mat[i] = [pv * x // prev for x in row]
+        prev = pv
         rank += 1
         if rank == len(mat):
             break
@@ -134,8 +169,9 @@ def faces_from_facets(facet_masks: Sequence[int]) -> list[int]:
 
 
 def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
-    """Reduced cohomology dimensions over GF(p) of the complex whose full
-    face list (including the empty face) is ``face_masks``.
+    """Reduced cohomology dimensions over GF(p), or over QQ when p = 0,
+    of the complex whose full face list (including the empty face) is
+    ``face_masks``.
 
     Returns ``[dim H^-1, dim H^0, ..., dim H^(d)]`` where d+1 is the
     largest face cardinality; empty list for the void complex.
@@ -176,8 +212,8 @@ def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
                     m ^= b
                     f = g ^ b
                     sign = -1 if bin(f & (b - 1)).count("1") & 1 else 1
-                    rows[idx[f]][j] = sign % p
-            r = rank_mod_p(rows, p)
+                    rows[idx[f]][j] = sign
+            r = rank_mod_p(rows, p) if p else rank_qq(rows)
         dims.append(len(cur) - r - prev_rank)
         prev_rank = r
     return dims

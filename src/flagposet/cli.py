@@ -28,6 +28,8 @@ from .homology import (
     betti_polynomial_bruteforce,
     betti_polynomial_fast,
     full_betti_table,
+    graded_betti_table,
+    lcm_lattice,
 )
 from .ideals import flag_ideal
 from .posets import (
@@ -188,9 +190,8 @@ def cmd_betti(args, out) -> int:
             payload["verified"] = True
         _emit(payload, cfg, out)
         return 0
-    from .homology import BettiTable, _lcm_lattice
     if args.verify:
-        for a in _lcm_lattice(ideal):
+        for a in lcm_lattice(ideal):
             fast = betti_polynomial_fast(g, a, cfg.field)
             brute = betti_polynomial_bruteforce(ideal, a, cfg.field)
             if fast != brute:
@@ -198,14 +199,7 @@ def cmd_betti(args, out) -> int:
                       file=sys.stderr)
                 return 1
     if args.fast:
-        entries = {}
-        for a in _lcm_lattice(ideal):
-            poly = betti_polynomial_fast(g, a, cfg.field)
-            for e, c in poly.coeffs.items():
-                j = len(a) - e
-                if j >= 0:
-                    entries[(j, a)] = c
-        table = BettiTable(ideal.variables, entries, cfg.field)
+        table = graded_betti_table(g, cfg.field)
     else:
         table = full_betti_table(ideal, cfg.field, cfg.budgets["betti_vars"])
     if cfg.fmt == "csv":

@@ -163,33 +163,38 @@ def y_complex(layer: BipartiteLayer) -> SimplicialComplex:
     return SimplicialComplex(layer.top, facets)
 
 
-def x_complexes(g: GradedPoset, multidegree: Iterable[str]) -> list[SimplicialComplex]:
-    """The bipartite-layer independence complexes of a multidegree.
+def layer_sides(g: GradedPoset, multidegree: Iterable[str]
+                ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The vertex sides (B_i, A_{i+1}) of the layer complexes of a
+    multidegree, for i = 1 .. rbar-1.
 
-    For A with A_i = A intersect (rank i), the i-th complex lives on
-    B_i union A_{i+1} where B_i = A_i minus the maximal elements of the
-    whole poset; its nonfaces are the cover edges inside A.
-
-    Maximal elements are dropped from every bottom side, including rank
-    1: a rank-1 maximal element is an isolated point of the poset, so
-    its variable splits off as a separate Koszul factor, which in join
-    terms is the irrelevant complex (the join identity).  Keeping it as
-    an edgeless vertex would instead cone the layer complex and kill
-    the product.
+    A_i = A intersect (rank i) and B_i = A_i minus the maximal elements
+    of the whole poset.  Maximal elements are dropped from every bottom
+    side, including rank 1: a rank-1 maximal element is an isolated
+    point of the poset, so its variable splits off as a separate Koszul
+    factor, which in join terms is the irrelevant complex (the join
+    identity).  Keeping it as an edgeless vertex would instead cone the
+    layer complex and kill the product.
     """
     a = frozenset(multidegree)
     for e in a:
         g.poset.index(e)
-    r = g.rbar()
     maxes = set(g.poset.maximal_elements())
-    layers = [tuple(e for e in g.layer(i) if e in a) for i in range(1, r + 1)]
+    layers = [tuple(e for e in g.layer(i) if e in a)
+              for i in range(1, g.rbar() + 1)]
+    return [(tuple(e for e in layers[i - 1] if e not in maxes), layers[i])
+            for i in range(1, g.rbar())]
+
+
+def x_complexes(g: GradedPoset, multidegree: Iterable[str]) -> list[SimplicialComplex]:
+    """The bipartite-layer independence complexes of a multidegree.
+
+    The i-th complex lives on B_i union A_{i+1} (see ``layer_sides``);
+    its nonfaces are the cover edges between the two sides.
+    """
     out = []
-    for i in range(1, r):
-        bottom = tuple(e for e in layers[i - 1] if e not in maxes)
-        top = layers[i]
-        verts = bottom + top
-        bset = set(bottom)
-        edges = [(p, q) for p, q in g.covers
-                 if p in bset and q in a and g.rank[q] == i + 1]
-        out.append(independence_complex(verts, edges))
+    for bottom, top in layer_sides(g, multidegree):
+        bset, tset = set(bottom), set(top)
+        edges = [(p, q) for p, q in g.covers if p in bset and q in tset]
+        out.append(independence_complex(bottom + top, edges))
     return out

@@ -12,18 +12,19 @@ Conventions, pinned once and validated by the test suite:
   to A = {} (value t, the rank-one free module of the quotient's
   resolution).
 
-Matrix ranks are exact Gaussian elimination over GF(p) via the kernel
-(compiled when available) or over the rationals in pure Python.
+Both Betti paths enumerate faces from nonface bitmasks inside a vertex
+mask (generator supports for Hochster, cover edges for the layer
+product), and every field goes through ``kernel.cohomology_dims``:
+Gaussian elimination over GF(p), fraction-free elimination over QQ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import kernel
-from .complexes import SimplicialComplex, x_complexes
+from .complexes import SimplicialComplex, layer_sides
 from .errors import BudgetExceeded, UnknownVariable, VariableClash
 from .fields import GF2, FieldSpec, LaurentPoly, poly_from_dims
 from .ideals import SquarefreeIdeal, alexander_dual, flag_ideal
@@ -36,77 +37,10 @@ DEFAULT_BETTI_VARS = 18
 # Reduced cohomology
 # ---------------------------------------------------------------------------
 
-def _rank_rational(rows: list[list[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        for j in range(col, ncols):
-            prow[j] *= inv
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][col]
-            if f:
-                row = mat[i]
-                for j in range(col, ncols):
-                    row[j] -= f * prow[j]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _cohomology_dims_rational(face_masks: Sequence[int]) -> list[int]:
-    """Same contract as kernel.cohomology_dims, over the rationals."""
-    if not face_masks:
-        return []
-    levels: dict[int, list[int]] = {}
-    for f in face_masks:
-        levels.setdefault(bin(f).count("1"), []).append(f)
-    maxc = max(levels)
-    ordered = [sorted(levels.get(c, [])) for c in range(maxc + 1)]
-    index = [{f: i for i, f in enumerate(lv)} for lv in ordered]
-    dims = []
-    prev_rank = 0
-    for c in range(maxc + 1):
-        cur = ordered[c]
-        nxt = ordered[c + 1] if c + 1 <= maxc else []
-        if not nxt:
-            r = 0
-        else:
-            rows = [[0] * len(nxt) for _ in cur]
-            idx = index[c]
-            for j, g in enumerate(nxt):
-                m = g
-                while m:
-                    b = m & -m
-                    m ^= b
-                    f = g ^ b
-                    sign = -1 if bin(f & (b - 1)).count("1") & 1 else 1
-                    rows[idx[f]][j] = sign
-            r = _rank_rational(rows)
-        dims.append(len(cur) - r - prev_rank)
-        prev_rank = r
-    return dims
-
-
-def _dims_from_faces(face_masks: Sequence[int], f: FieldSpec) -> list[int]:
-    if f.kind == "gf":
-        return kernel.cohomology_dims(face_masks, f.p)
-    return _cohomology_dims_rational(face_masks)
-
-
 def _poly_from_nonfaces(nonface_masks: Sequence[int], sub_mask: int,
                         f: FieldSpec) -> LaurentPoly:
     faces = kernel.faces_from_nonfaces(nonface_masks, sub_mask)
-    return poly_from_dims(_dims_from_faces(faces, f))
+    return poly_from_dims(kernel.cohomology_dims(faces, f.p or 0))
 
 
 def reduced_cohomology_poly(x: SimplicialComplex,
@@ -117,7 +51,7 @@ def reduced_cohomology_poly(x: SimplicialComplex,
     index = {v: i for i, v in enumerate(x.vertices)}
     facet_masks = [sum(1 << index[v] for v in fc) for fc in x.facets]
     faces = kernel.faces_from_facets(facet_masks)
-    return poly_from_dims(_dims_from_faces(faces, f))
+    return poly_from_dims(kernel.cohomology_dims(faces, f.p or 0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +114,22 @@ def betti_polynomial_fast(g: GradedPoset, multidegree: Iterable[str],
     """Join-decomposition product: t^rbar times the product of the
     cohomology polynomials of the layer complexes of the multidegree.
 
+    X_i(A), the independence complex of the cover edges on B_i union
+    A_{i+1}, is the restriction to those vertices of the complex whose
+    nonfaces are the cover edges of the poset.
+
     The empty poset (rank 0, zero ideal) is the one case outside the
     product formula; its only multidegree is empty and its polynomial
     is t, the rank-one free module of the quotient's resolution.
     """
     if g.rbar() == 0:
         return LaurentPoly.t_power(1)
+    index = g.poset.index
+    covers = [1 << index(p) | 1 << index(q) for p, q in g.covers]
     out = LaurentPoly.t_power(g.rbar())
-    for x in x_complexes(g, multidegree):
-        out = out * reduced_cohomology_poly(x, f)
+    for bottom, top in layer_sides(g, multidegree):
+        vertices = sum(1 << index(e) for e in bottom + top)
+        out = out * _poly_from_nonfaces(covers, vertices, f)
         if out.is_zero():
             break
     return out
@@ -229,7 +170,7 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def _lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
+def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
     """All unions of generator supports (multidegrees that can carry a
     nonzero Betti number; anything else restricts to a cone)."""
     gens = [frozenset(g) for g in ideal.generators]
@@ -259,11 +200,25 @@ def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     if len(ideal.variables) > budget:
         raise BudgetExceeded(f"Betti table limited to {budget} variables")
     entries: dict[tuple[int, frozenset[str]], int] = {}
-    for a in _lcm_lattice(ideal):
+    for a in lcm_lattice(ideal):
         vec = betti_multidegree(ideal, a, f, budget)
         for j, b in enumerate(vec):
             if b:
                 entries[(j, a)] = b
+    return BettiTable(ideal.variables, entries, f)
+
+
+def graded_betti_table(g: GradedPoset, f: FieldSpec = GF2) -> BettiTable:
+    """All nonzero beta_{j,A} of the flag ideal of g, from the layer
+    product on every lcm-lattice multidegree."""
+    ideal = flag_ideal(g)
+    entries: dict[tuple[int, frozenset[str]], int] = {}
+    for a in lcm_lattice(ideal):
+        poly = betti_polynomial_fast(g, a, f)
+        for e, c in poly.coeffs.items():
+            j = len(a) - e
+            if j >= 0:
+                entries[(j, a)] = c
     return BettiTable(ideal.variables, entries, f)
 
 
@@ -331,9 +286,11 @@ def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     """
     if not ideal.generators:
         return True
-    dual = alexander_dual(ideal, budget=max(budget, len(ideal.variables)))
-    eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
+    # the ideal's own table enforces the variable budget before the
+    # dual's transversal enumeration starts
     table = full_betti_table(ideal, f, budget)
+    dual = alexander_dual(ideal, budget=budget)
+    eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
     height = min(len(g) for g in dual.generators)
     auslander_buchsbaum = (table.projective_dimension_of_quotient() == height)
     if eagon_reiner != auslander_buchsbaum:

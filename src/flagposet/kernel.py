@@ -2,8 +2,10 @@
 
 Exposes the five kernel functions, backed by the compiled Cython module
 when it is importable and the input fits its 63-bit mask limit, and by
-the pure-Python twin otherwise.  Set ``FLAGPOSET_PURE=1`` to force the
-pure twin (used by the benchmark and for debugging).
+the pure-Python twin otherwise.  ``cohomology_dims`` with p = 0 (over QQ)
+always runs on the pure twin, the only one with a characteristic-0
+rank.  Set ``FLAGPOSET_PURE=1`` to force the pure twin (used by the
+benchmark and for debugging).
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ def rank_mod_p(rows, p):
 
 def faces_from_nonfaces(nonface_masks, sub_mask):
     if _compiled is not None and sub_mask < _MASK_LIMIT:
-        return _compiled.faces_from_nonfaces(nonface_masks, sub_mask)
+        # wider nonfaces lie outside sub_mask but overflow the compiled twin
+        return _compiled.faces_from_nonfaces(
+            [g for g in nonface_masks if g < _MASK_LIMIT], sub_mask)
     return _kernel_py.faces_from_nonfaces(nonface_masks, sub_mask)
 
 
@@ -52,7 +56,7 @@ def faces_from_facets(facet_masks):
 def cohomology_dims(face_masks, p):
     if (
         _compiled is not None
-        and p < 2**31
+        and 0 < p < 2**31
         and (not face_masks or max(face_masks) < _MASK_LIMIT)
     ):
         return _compiled.cohomology_dims(face_masks, p)

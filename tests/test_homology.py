@@ -104,7 +104,7 @@ def test_betti_multidegree():
         fp.betti_multidegree(ideal, g.elements, budget=4)
 
 
-def test_betti_polynomials():
+def test_betti_polynomials(corpus_b):
     g = fp.hom_rt_poset(3, 2)
     chain = ("a1_1", "a2_1", "a3_1")
     assert fp.betti_polynomial_fast(g, chain) == t(3)
@@ -114,6 +114,17 @@ def test_betti_polynomials():
     two = fp.rank_function(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"), [("p1", "q1"), ("p2", "q2")]))
     assert fp.betti_polynomial_fast(two, ("p1", "p2", "q1", "q2")) == t(3)
+    # the layer product is t^rbar times the cohomology of the public
+    # layer complexes
+    nonzero = 0
+    for g in corpus_b[:30]:
+        for a in fp.lcm_lattice(fp.flag_ideal(g))[:25]:
+            product = t(g.rbar())
+            for x in fp.x_complexes(g, a):
+                product = product * fp.reduced_cohomology_poly(x)
+            assert product == fp.betti_polynomial_fast(g, a), (g, a)
+            nonzero += not product.is_zero()
+    assert nonzero > 100
 
 
 def test_betti_polynomial_empty_multidegree():
@@ -177,6 +188,16 @@ def test_component_assembly_matches_direct(corpus_b):
     assert checked >= 2
 
 
+def test_cm_oracle_budget_fires_before_the_dual(monkeypatch):
+    def enumerate_transversals(*args, **kwargs):
+        raise AssertionError("transversals enumerated past the budget")
+
+    monkeypatch.setattr("flagposet.ideals.minimal_transversals",
+                        enumerate_transversals)
+    with pytest.raises(BudgetExceeded):
+        fp.is_cm_oracle(fp.flag_ideal(fp.hom_rt_poset(4, 5)))
+
+
 def test_oracles():
     l22 = fp.flag_ideal(fp.hom_rt_poset(2, 2))
     assert fp.has_linear_resolution_oracle(l22)
@@ -210,13 +231,17 @@ def test_first_strand_predicate():
 
 
 def test_cross_field_agreement_with_rationals(corpus_b):
-    # a small subsample over GF(2), GF(32003) and the rationals
+    # a small subsample over GF(2), GF(32003) and the rationals, on both
+    # the brute-force and the layer-product path
     for g in corpus_b[:5]:
         ideal = fp.flag_ideal(g)
         for k in range(0, min(len(g), 6) + 1):
             for a in itertools.combinations(g.elements, k):
-                values = {str(f): fp.betti_polynomial_bruteforce(ideal, a, f)
-                          for f in FIELDS}
+                values = {}
+                for f in FIELDS:
+                    values[f"brute {f}"] = fp.betti_polynomial_bruteforce(
+                        ideal, a, f)
+                    values[f"fast {f}"] = fp.betti_polynomial_fast(g, a, f)
                 assert len(set(map(repr, values.values()))) == 1, (a, values)
 
 
