@@ -76,6 +76,7 @@ from .homology import (
     is_cm_oracle,
     is_cm_poset_oracle,
     lcm_lattice,
+    oracle_verdicts,
     reduced_cohomology_poly,
     restriction_cohomology_poly,
 )

@@ -9,7 +9,9 @@ width; the compiled twin is limited to 63 bits and the dispatcher in
 
 Only this twin knows characteristic 0: ``cohomology_dims`` with p = 0
 computes over QQ through the fraction-free rank ``rank_qq``, and the
-dispatcher routes p = 0 here.
+dispatcher routes p = 0 here.  Only this twin reads relative pairs: a
+face list without the empty face is the faces of X outside a subcomplex
+L, and the dispatcher routes such lists here too.
 """
 
 from __future__ import annotations
@@ -175,6 +177,12 @@ def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
 
     Returns ``[dim H^-1, dim H^0, ..., dim H^(d)]`` where d+1 is the
     largest face cardinality; empty list for the void complex.
+
+    A list without the empty face is read as a relative pair (X, L):
+    the faces of X not in the nonempty subcomplex L.  A boundary face
+    missing from the list lies in L and its cochain is zero, so the
+    result is ``[dim H^-1(X, L), dim H^0(X, L), ...]``, indexed by face
+    cardinality exactly as for a complex.
     """
     if not face_masks:
         return []
@@ -194,25 +202,29 @@ def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
             r = 0
         elif p == 2:
             rows = [0] * len(cur)
-            idx = index[c]
+            get = index[c].get
             for j, g in enumerate(nxt):
                 m = g
                 while m:
                     b = m & -m
                     m ^= b
-                    rows[idx[g ^ b]] |= 1 << j
+                    i = get(g ^ b)
+                    if i is not None:
+                        rows[i] |= 1 << j
             r = rank_gf2(rows, len(nxt))
         else:
             rows = [[0] * len(nxt) for _ in cur]
-            idx = index[c]
+            get = index[c].get
             for j, g in enumerate(nxt):
                 m = g
                 while m:
                     b = m & -m
                     m ^= b
                     f = g ^ b
-                    sign = -1 if bin(f & (b - 1)).count("1") & 1 else 1
-                    rows[idx[f]][j] = sign
+                    i = get(f)
+                    if i is not None:
+                        rows[i][j] = (-1 if bin(f & (b - 1)).count("1") & 1
+                                      else 1)
             r = rank_mod_p(rows, p) if p else rank_qq(rows)
         dims.append(len(cur) - r - prev_rank)
         prev_rank = r

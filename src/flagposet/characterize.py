@@ -598,11 +598,7 @@ def classification_report(p: Poset | GradedPoset, f=None,
     """
     from .covers import DEFAULT_COVER_BUDGET, is_unmixed_bruteforce
     from .fields import GF2
-    from .homology import (
-        DEFAULT_BETTI_VARS,
-        has_linear_resolution_oracle,
-        is_cm_oracle,
-    )
+    from .homology import DEFAULT_BETTI_VARS, oracle_verdicts
     from .ideals import flag_ideal
 
     if f is None:
@@ -642,22 +638,23 @@ def classification_report(p: Poset | GradedPoset, f=None,
     lr_s = has_linear_resolution_structural(g)
     bi = is_bi_cm(g, b["iso_elements"], b["matching_nodes"],
                   b["chain_pairs"])
+    unmixed_o = is_unmixed_bruteforce(g, b["cover_enum"])
+    cm_o, lr_o = oracle_verdicts(ideal, f, b["betti_vars"])
     report.update({
         "pure": g.is_pure(),
         "connected": len(connected_components(poset)) <= 1,
         "generators": len(ideal.generators),
         "unmixed": {
             "structural": unmixed_s.value,
-            "oracle": is_unmixed_bruteforce(g, b["cover_enum"]),
+            "oracle": unmixed_o,
         },
         "cm": {
             "structural": cm_s.value,
-            "oracle": is_cm_oracle(ideal, f, b["betti_vars"]),
+            "oracle": cm_o,
         },
         "linear_resolution": {
             "structural": lr_s.value,
-            "oracle": has_linear_resolution_oracle(ideal, f,
-                                                   b["betti_vars"]),
+            "oracle": lr_o,
         },
         "bi_cm": bi.value,
     })

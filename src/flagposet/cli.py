@@ -21,7 +21,7 @@ from .characterize import (
 )
 from .covers import DEFAULT_COVER_BUDGET
 from .errors import BudgetExceeded, FlagPosetError, InvalidParameter, NotGraded
-from .fields import GF2, FieldSpec, parse_field
+from .fields import GF2, FieldSpec, LaurentPoly, parse_field
 from .generate import RandomPosetSpec, random_graded_poset
 from .homology import (
     DEFAULT_BETTI_VARS,
@@ -190,7 +190,14 @@ def cmd_betti(args, out) -> int:
             payload["verified"] = True
         _emit(payload, cfg, out)
         return 0
+    if args.fast:
+        table = graded_betti_table(g, cfg.field)
+    else:
+        table = full_betti_table(ideal, cfg.field, cfg.budgets["betti_vars"])
     if args.verify:
+        rows: dict[frozenset[str], dict[int, int]] = {}
+        for (j, a), b in table.entries.items():
+            rows.setdefault(a, {})[len(a) - j] = b
         for a in lcm_lattice(ideal):
             fast = betti_polynomial_fast(g, a, cfg.field)
             brute = betti_polynomial_bruteforce(ideal, a, cfg.field)
@@ -198,10 +205,11 @@ def cmd_betti(args, out) -> int:
                 print(f"MISMATCH at {sorted(a)}: {fast} vs {brute}",
                       file=sys.stderr)
                 return 1
-    if args.fast:
-        table = graded_betti_table(g, cfg.field)
-    else:
-        table = full_betti_table(ideal, cfg.field, cfg.budgets["betti_vars"])
+            entry = LaurentPoly(rows.get(a))
+            if entry != brute:
+                print(f"MISMATCH at {sorted(a)}: table {entry} vs "
+                      f"brute-force {brute}", file=sys.stderr)
+                return 1
     if cfg.fmt == "csv":
         out.write(table.to_csv())
     else:
@@ -265,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--fast", action="store_true",
                          help="layer-product path (needs graded input)")
     p_betti.add_argument("--verify", action="store_true",
-                         help="run both paths and require equality")
+                         help="require the fast path and the table to "
+                              "equal Hochster brute force")
     _add_common(p_betti)
     p_betti.set_defaults(func=cmd_betti)
 

@@ -12,10 +12,26 @@ Conventions, pinned once and validated by the test suite:
   to A = {} (value t, the rank-one free module of the quotient's
   resolution).
 
-Both Betti paths enumerate faces from nonface bitmasks inside a vertex
-mask (generator supports for Hochster, cover edges for the layer
-product), and every field goes through ``kernel.cohomology_dims``:
-Gaussian elimination over GF(p), fraction-free elimination over QQ.
+Betti numbers come three ways, all enumerating faces from nonface
+bitmasks inside a vertex mask, and every field goes through
+``kernel.cohomology_dims``: Gaussian elimination over GF(p),
+fraction-free elimination over QQ.
+
+* Tables (``betti_multidegree``, ``full_betti_table`` and the oracles
+  built on them) use star excision.  For a vertex v of the restriction
+  D_A its star is a cone, so H~*(D_A) = H*(del v, lk v).  The cochains
+  of that pair are the faces F of D_A inside A - v with F + v not a
+  face, i.e. F contains t_k = g_k - v for a generator g_k of I with
+  v in g_k inside A; the coboundary is the usual one with the faces
+  of lk v counting as zero.  v is the vertex of A in the fewest
+  generators inside A, which keeps the pair small; a vertex in none
+  makes D_A a cone and the multidegree zero.
+* ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
+  stay the literal Hochster computation on the whole restriction.
+  They are the reference the excised tables and the layer product
+  are checked against, so a fault in either cannot hide behind a
+  shared shortcut.
+* ``betti_polynomial_fast`` is the layer product over cover edges.
 """
 
 from __future__ import annotations
@@ -89,17 +105,54 @@ def restriction_cohomology_poly(ideal: SquarefreeIdeal,
     return _poly_from_nonfaces(gens, mask, f)
 
 
+def _excised_cohomology_poly(gen_masks: Sequence[int], mask: int,
+                             f: FieldSpec) -> LaurentPoly:
+    """H(restriction to ``mask``, t) from the pair (del v, lk v).
+
+    The pair's faces are the disjoint union over k of t_k | G, where G
+    avoids every other nonface of the restriction and every earlier
+    t_j, all taken relative to t_k.
+    """
+    inside = [g for g in gen_masks if g & ~mask == 0]
+    if not inside:
+        return LaurentPoly.t_power(-1) if mask == 0 else LaurentPoly.zero()
+    v, fewest = 0, len(inside) + 1
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        count = sum(1 for g in inside if g & b)
+        if count < fewest:
+            v, fewest = b, count
+    if fewest == 0:
+        return LaurentPoly.zero()
+    links = [g ^ v for g in inside if g & v]
+    others = [g for g in inside if not g & v]
+    rest = mask ^ v
+    faces: list[int] = []
+    for k, t in enumerate(links):
+        nonfaces = [n & ~t for n in others] + [s & ~t for s in links[:k]]
+        faces.extend(t | x for x in
+                     kernel.faces_from_nonfaces(nonfaces, rest & ~t))
+    return poly_from_dims(kernel.cohomology_dims(faces, f.p or 0))
+
+
+def _betti_vector(poly: LaurentPoly, n: int) -> list[int]:
+    return [poly.coefficient(n - j - 2) for j in range(n)]
+
+
 def betti_multidegree(ideal: SquarefreeIdeal, multidegree: Iterable[str],
                       f: FieldSpec = GF2,
                       budget: int = DEFAULT_BETTI_VARS) -> list[int]:
     """The vector (beta_{0,A}, ..., beta_{|A|-1,A}) via Hochster's
-    formula: beta_{j,A} = dim H^(|A|-j-2) of the restriction."""
+    formula: beta_{j,A} = dim H^(|A|-j-2) of the restriction, computed
+    by star excision (see the module docstring)."""
     a = frozenset(multidegree)
     if len(a) > budget:
         raise BudgetExceeded(f"multidegree larger than budget {budget}")
-    poly = restriction_cohomology_poly(ideal, a, f)
-    n = len(a)
-    return [poly.coefficient(n - j - 2) for j in range(n)]
+    mask, index = _multidegree_mask(ideal, a)
+    poly = _excised_cohomology_poly(_gen_masks(ideal, index), mask, f)
+    return _betti_vector(poly, len(a))
 
 
 def betti_polynomial_bruteforce(ideal: SquarefreeIdeal,
@@ -191,7 +244,8 @@ def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
 
 def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
                      budget: int = DEFAULT_BETTI_VARS) -> BettiTable:
-    """All nonzero beta_{j,A}.
+    """All nonzero beta_{j,A}, each from ``betti_multidegree``'s
+    excised pair.
 
     Candidate multidegrees are the unions of generator supports: if some
     vertex of A lies in no generator inside A, the restriction is a cone
@@ -199,9 +253,12 @@ def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     """
     if len(ideal.variables) > budget:
         raise BudgetExceeded(f"Betti table limited to {budget} variables")
+    index = {v: i for i, v in enumerate(ideal.variables)}
+    gens = _gen_masks(ideal, index)
     entries: dict[tuple[int, frozenset[str]], int] = {}
     for a in lcm_lattice(ideal):
-        vec = betti_multidegree(ideal, a, f, budget)
+        mask = sum(1 << index[v] for v in a)
+        vec = _betti_vector(_excised_cohomology_poly(gens, mask, f), len(a))
         for j, b in enumerate(vec):
             if b:
                 entries[(j, a)] = b
@@ -262,6 +319,24 @@ def component_betti_assembly(tables: Sequence[BettiTable]) -> BettiTable:
 # Oracles
 # ---------------------------------------------------------------------------
 
+def _linear_verdict(ideal: SquarefreeIdeal, table: BettiTable) -> bool:
+    return ideal.is_equigenerated() and table.is_linear(
+        ideal.generator_degree())
+
+
+def _cm_verdict(ideal: SquarefreeIdeal, table: BettiTable, f: FieldSpec,
+                budget: int) -> bool:
+    dual = alexander_dual(ideal, budget=budget)
+    eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
+    height = min(len(g) for g in dual.generators)
+    auslander_buchsbaum = (table.projective_dimension_of_quotient() == height)
+    if eagon_reiner != auslander_buchsbaum:
+        raise RuntimeError(
+            "internal oracle disagreement: Eagon-Reiner "
+            f"{eagon_reiner} vs projdim=height {auslander_buchsbaum}")
+    return eagon_reiner
+
+
 def has_linear_resolution_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
                                  budget: int = DEFAULT_BETTI_VARS) -> bool:
     """Every nonzero beta_{j,A} has |A| = j + d, where d is the common
@@ -271,8 +346,7 @@ def has_linear_resolution_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
         return True
     if not ideal.is_equigenerated():
         return False
-    return full_betti_table(ideal, f, budget).is_linear(
-        ideal.generator_degree())
+    return _linear_verdict(ideal, full_betti_table(ideal, f, budget))
 
 
 def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
@@ -288,16 +362,17 @@ def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
         return True
     # the ideal's own table enforces the variable budget before the
     # dual's transversal enumeration starts
+    return _cm_verdict(ideal, full_betti_table(ideal, f, budget), f, budget)
+
+
+def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
+                    budget: int = DEFAULT_BETTI_VARS) -> tuple[bool, bool]:
+    """``(is_cm_oracle(...), has_linear_resolution_oracle(...))`` from one
+    Betti table of the ideal, shared by both verdicts."""
+    if not ideal.generators:
+        return True, True
     table = full_betti_table(ideal, f, budget)
-    dual = alexander_dual(ideal, budget=budget)
-    eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
-    height = min(len(g) for g in dual.generators)
-    auslander_buchsbaum = (table.projective_dimension_of_quotient() == height)
-    if eagon_reiner != auslander_buchsbaum:
-        raise RuntimeError(
-            "internal oracle disagreement: Eagon-Reiner "
-            f"{eagon_reiner} vs projdim=height {auslander_buchsbaum}")
-    return eagon_reiner
+    return _cm_verdict(ideal, table, f, budget), _linear_verdict(ideal, table)
 
 
 def is_cm_poset_oracle(g: GradedPoset, f: FieldSpec = GF2,

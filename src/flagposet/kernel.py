@@ -4,8 +4,12 @@ Exposes the five kernel functions, backed by the compiled Cython module
 when it is importable and the input fits its 63-bit mask limit, and by
 the pure-Python twin otherwise.  ``cohomology_dims`` with p = 0 (over QQ)
 always runs on the pure twin, the only one with a characteristic-0
-rank.  Set ``FLAGPOSET_PURE=1`` to force the pure twin (used by the
-benchmark and for debugging).
+rank.  So does ``cohomology_dims`` on a face list without the empty
+face: such a list is a relative pair (X, L), the faces of X outside a
+subcomplex L, and boundary faces missing from it count as zero.  The
+compiled twin assumes every boundary face is listed and writes out of
+bounds when one is not.  Set ``FLAGPOSET_PURE=1`` to force the pure twin
+(used by the benchmark and for debugging).
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def cohomology_dims(face_masks, p):
     if (
         _compiled is not None
         and 0 < p < 2**31
-        and (not face_masks or max(face_masks) < _MASK_LIMIT)
+        and 0 in face_masks
+        and max(face_masks) < _MASK_LIMIT
     ):
         return _compiled.cohomology_dims(face_masks, p)
     return _kernel_py.cohomology_dims(face_masks, p)

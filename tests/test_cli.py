@@ -84,6 +84,27 @@ def test_betti_full_table_verify():
     assert any(e["j"] == 1 for e in payload["entries"])
 
 
+def test_betti_full_table_verify_checks_table_entries(monkeypatch, capsys):
+    import flagposet.cli as cli
+    table_of = cli.full_betti_table
+
+    def off_by_one(*args):
+        table = table_of(*args)
+        key = max(table.entries, key=lambda k: (k[0], sorted(k[1])))
+        table.entries[key] += 1
+        return table
+
+    code, _ = run(["betti", "--example", "3.4", "--verify"])
+    assert code == 0
+    monkeypatch.setattr(cli, "full_betti_table", off_by_one)
+    code, text = run(["betti", "--example", "3.4", "--verify"])
+    assert code == 1 and text == ""
+    assert "MISMATCH" in capsys.readouterr().err
+    # without --verify the corrupted table goes out unchecked
+    code, _ = run(["betti", "--example", "3.4"])
+    assert code == 0
+
+
 def test_betti_fast_table_matches_hochster_table():
     slow = run_json(["betti", "--example", "4.9"])
     fast = run_json(["betti", "--example", "4.9", "--fast"])

@@ -8,9 +8,13 @@ import flagposet as fp
 from flagposet.complexes import IRRELEVANT, VOID, full_simplex
 from flagposet.errors import BudgetExceeded, VariableClash
 from flagposet.fields import GF, GF2, QQ, LaurentPoly
+from conftest import sweep_poset
 
 t = LaurentPoly.t_power
 FIELDS = [GF2, GF(32003), QQ]
+TABLE_FIELDS = [GF2, GF(3), GF(32003), QQ]
+RP2_FACETS = ["125", "126", "134", "136", "145", "234", "235", "246",
+              "356", "456"]
 
 
 def sc(vertices, facets):
@@ -33,9 +37,7 @@ def test_cohomology_conventions(f):
 def test_projective_plane_detects_characteristic():
     # minimal 6-vertex triangulation; homology differs between GF(2)
     # and the rationals, so the exact linear algebra is really exact
-    facets = ["125", "126", "134", "136", "145", "234", "235", "246",
-              "356", "456"]
-    rp2 = sc("123456", [set(f) for f in facets])
+    rp2 = sc("123456", [set(f) for f in RP2_FACETS])
     assert fp.reduced_cohomology_poly(rp2, GF2) == LaurentPoly({1: 1, 2: 1})
     assert fp.reduced_cohomology_poly(rp2, QQ) == LaurentPoly.zero()
     assert fp.reduced_cohomology_poly(rp2, GF(32003)) == LaurentPoly.zero()
@@ -151,6 +153,106 @@ def test_full_betti_table():
     assert any(len(a) != j + s for j, a in table.entries)
     with pytest.raises(BudgetExceeded):
         fp.full_betti_table(flag, budget=5)
+
+
+def _brute_vector(ideal, a, f):
+    """The literal Hochster reference, as a betti_multidegree vector."""
+    poly = fp.betti_polynomial_bruteforce(ideal, a, f)
+    return [poly.coefficient(len(a) - j) for j in range(len(a))]
+
+
+def _assert_excised_route(ideal, multidegrees, f):
+    table = fp.full_betti_table(ideal, f)
+    lattice = set(fp.lcm_lattice(ideal))
+    nonzero = 0
+    for a in multidegrees:
+        a = frozenset(a)
+        vec = fp.betti_multidegree(ideal, a, f)
+        assert vec == _brute_vector(ideal, a, f), (ideal.generators, a, f)
+        if a in lattice:
+            assert vec == [table.entries.get((j, a), 0)
+                           for j in range(len(a))], (a, f)
+        else:
+            assert not any(vec), (a, f)
+        nonzero += any(vec)
+    assert {a for _, a in table.entries} <= lattice
+    return nonzero
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=str)
+def test_excised_route_matches_bruteforce_on_corpus(corpus_b, f):
+    nonzero = 0
+    for g in corpus_b[::4]:
+        if len(g) <= 10:
+            ideal = fp.flag_ideal(g)
+            nonzero += _assert_excised_route(ideal, fp.lcm_lattice(ideal), f)
+    assert nonzero > 1000
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=str)
+def test_excised_route_on_every_subset(corpus_b, f):
+    # all subsets of small posets: A = {}, cones over a vertex in no
+    # generator inside A, and the lcm-lattice multidegrees
+    small = [g for g in corpus_b if len(g) <= 7][:6]
+    assert len(small) == 6
+    for g in small:
+        ideal = fp.flag_ideal(g)
+        subsets = [a for k in range(len(g) + 1)
+                   for a in itertools.combinations(g.elements, k)]
+        _assert_excised_route(ideal, subsets, f)
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=str)
+def test_excised_route_with_singleton_generators(f):
+    # isolated elements of the sweep are maximal chains of length one:
+    # the excised vertex may be a whole generator, and then the pair
+    # keeps the empty face
+    checked = 0
+    for bits in range(0, 512, 37):
+        g = sweep_poset(bits, include_isolated=True)
+        ideal = fp.flag_ideal(g)
+        if any(len(gen) == 1 for gen in ideal.generators):
+            subsets = [a for k in range(len(g) + 1)
+                       for a in itertools.combinations(g.elements, k)]
+            _assert_excised_route(ideal, subsets, f)
+            checked += 1
+    assert checked >= 5
+
+
+def test_excised_route_sees_torsion():
+    # the Stanley-Reisner ideal of the six-vertex projective plane: its
+    # minimal nonfaces are the ten triangles that are not facets
+    facets = {frozenset(x) for x in RP2_FACETS}
+    ideal = fp.SquarefreeIdeal("123456", [
+        frozenset(c) for c in itertools.combinations("123456", 3)
+        if frozenset(c) not in facets])
+    whole = frozenset("123456")
+    for f in TABLE_FIELDS:
+        _assert_excised_route(ideal, fp.lcm_lattice(ideal), f)
+    assert fp.betti_multidegree(ideal, whole, GF2) == [0, 0, 1, 1, 0, 0]
+    assert fp.betti_multidegree(ideal, whole, QQ) == [0] * 6
+    assert fp.betti_multidegree(ideal, whole, GF(3)) == [0] * 6
+
+
+def test_oracle_verdicts_share_one_table(monkeypatch):
+    examples = [fp.flag_ideal(fp.example_4_9()),
+                fp.flag_ideal(fp.example_3_4()),
+                fp.flag_ideal(fp.hom_rt_poset(2, 2)),
+                fp.SquarefreeIdeal("ab", [])]
+    expected = [(fp.is_cm_oracle(i), fp.has_linear_resolution_oracle(i))
+                for i in examples]
+    built = []
+    table_of = fp.homology.full_betti_table
+
+    def recording(ideal, *args):
+        built.append(ideal)
+        return table_of(ideal, *args)
+
+    monkeypatch.setattr(fp.homology, "full_betti_table", recording)
+    for ideal, verdicts in zip(examples, expected):
+        built.clear()
+        assert fp.oracle_verdicts(ideal) == verdicts
+        assert built.count(ideal) <= 1
 
 
 def test_betti_table_csv():

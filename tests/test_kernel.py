@@ -179,6 +179,37 @@ def test_cohomology_dims_over_qq_matches_fraction_elimination():
     assert _kernel_py.cohomology_dims(faces, 2) == [0, 0, 1, 1]
 
 
+def _trimmed(dims):
+    while dims and dims[-1] == 0:
+        dims = dims[:-1]
+    return dims
+
+
+def test_cohomology_dims_of_star_excision_pairs():
+    # H~*(X) = H*(del v, lk v) for every vertex v of X: the pair's faces
+    # are those avoiding v whose union with v is not a face
+    rng = random.Random(23)
+    pairs = 0
+    for _ in range(120):
+        nverts = rng.randrange(1, 8)
+        full = (1 << nverts) - 1
+        gens = [rng.getrandbits(nverts) & full or 1
+                for _ in range(rng.randrange(0, 6))]
+        faces = _kernel_py.faces_from_nonfaces(gens, full)
+        listed = set(faces)
+        for p in (2, 3, 0):
+            whole = _trimmed(_kernel_py.cohomology_dims(faces, p))
+            for k in range(nverts):
+                v = 1 << k
+                if v not in listed:
+                    continue
+                pair = [f for f in faces if not f & v and f | v not in listed]
+                assert _trimmed(_kernel_py.cohomology_dims(pair, p)) \
+                    == whole, (gens, k, p)
+                pairs += 1
+    assert pairs > 500
+
+
 def test_twins_agree_on_random_ranks(_kernel_c):
     rng = random.Random(42)
     for _ in range(200):
@@ -239,6 +270,20 @@ def test_dispatcher_keeps_qq_on_the_pure_twin(monkeypatch):
     for p in (0, 2, 32003, 2**31 + 11):
         assert kernel.cohomology_dims(hollow, p) == [0, 0, 1]
     assert twin.calls == [2, 32003]
+
+
+def test_dispatcher_keeps_relative_pairs_on_the_pure_twin(monkeypatch):
+    twin = _RecordingTwin()
+    monkeypatch.setattr(kernel, "_compiled", twin)
+    hollow = [0, 1, 2, 4, 0b011, 0b101, 0b110]
+    # (del 1, lk 1) of the hollow triangle: only the edge 2-4 is left,
+    # and its boundary points lie in the link
+    assert kernel.cohomology_dims([0b110], 2) == [0, 0, 1]
+    assert kernel.cohomology_dims([0b110], 32003) == [0, 0, 1]
+    assert kernel.cohomology_dims([], 2) == []
+    assert twin.calls == []
+    assert kernel.cohomology_dims(hollow, 2) == [0, 0, 1]
+    assert twin.calls == [2]
 
 
 def test_dispatcher_drops_wide_nonfaces_for_compiled_twin(_kernel_c,
