@@ -1,17 +1,11 @@
-"""Pure-Python compute kernels.
+"""Pure-Python compute kernels, re-exported by ``flagposet.kernel``.
 
-Twin of the compiled module ``flagposet._kernel_c``.  Both expose the same
-five functions and must agree bit for bit; ``tests/test_kernel.py`` checks
-the agreement.  Faces and hyperedges are encoded as integer bitmasks over
-a vertex numbering chosen by the caller.  This twin accepts masks of any
-width; the compiled twin is limited to 63 bits and the dispatcher in
-``flagposet.kernel`` falls back here beyond that.
-
-Only this twin knows characteristic 0: ``cohomology_dims`` with p = 0
-computes over QQ through the fraction-free rank ``rank_qq``, and the
-dispatcher routes p = 0 here.  Only this twin reads relative pairs: a
-face list without the empty face is the faces of X outside a subcomplex
-L, and the dispatcher routes such lists here too.
+Faces and hyperedges are encoded as integer bitmasks of any width over
+a vertex numbering chosen by the caller.  ``cohomology_dims`` with p = 0
+computes over QQ through the fraction-free rank ``rank_qq``.  A face
+list without the empty face is read as a relative pair: the faces of X
+outside a subcomplex L.  ``tests/test_kernel.py`` checks every function
+against hand-checked values and independent brute-force references.
 """
 
 from __future__ import annotations

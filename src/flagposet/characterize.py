@@ -45,7 +45,8 @@ DEFAULT_MATCHING_NODES = 20000
 class ChainDecomposition:
     """Disjoint saturated chains, each from a rank-1 element up to a
     maximal element, jointly covering the poset; the tuple order is the
-    chain labeling."""
+    chain labeling.  Construction raises ``InvalidCertificate`` unless
+    the chains are such a decomposition."""
 
     graded: GradedPoset
     chains: tuple[tuple[str, ...], ...]
@@ -504,9 +505,16 @@ def is_bi_cm(g: GradedPoset,
     matched against the two-chain letterplace grid of its dimensions and
     the isomorphism is part of the certificate."""
     cm = check_cm_structural(g, matching_nodes, chain_pairs)
+    lr = has_linear_resolution_structural(g) if cm.value else None
+    return _bi_cm_verdict(g, cm, lr, iso_budget)
+
+
+def _bi_cm_verdict(g: GradedPoset, cm: Verdict, lr: Verdict | None,
+                   iso_budget: int) -> Verdict:
+    """``is_bi_cm`` from the CM and linear-resolution verdicts; ``lr``
+    is read only when ``cm`` holds."""
     if not cm.value:
         return Verdict(False, witness={"not_cm": cm.witness})
-    lr = has_linear_resolution_structural(g)
     if not lr.value:
         return Verdict(False, witness={"no_linear_resolution": lr.witness})
     if not g.elements:
@@ -636,8 +644,7 @@ def classification_report(p: Poset | GradedPoset, f=None,
     unmixed_s = check_unmixed_structural(g, b["chain_pairs"])
     cm_s = check_cm_structural(g, b["matching_nodes"], b["chain_pairs"])
     lr_s = has_linear_resolution_structural(g)
-    bi = is_bi_cm(g, b["iso_elements"], b["matching_nodes"],
-                  b["chain_pairs"])
+    bi = _bi_cm_verdict(g, cm_s, lr_s, b["iso_elements"])
     unmixed_o = is_unmixed_bruteforce(g, b["cover_enum"])
     cm_o, lr_o = oracle_verdicts(ideal, f, b["betti_vars"])
     report.update({

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .characterize import ChainDecomposition
 from .covers import DEFAULT_COVER_BUDGET, minimal_transversals
 from .errors import (
     BudgetExceeded,
@@ -316,25 +317,8 @@ def _validate_certificate(cert) -> tuple[GradedPoset, tuple[tuple[str, ...], ...
     chains = getattr(cert, "chains", None)
     if not isinstance(g, GradedPoset) or chains is None:
         raise InvalidCertificate("need a chain-decomposition certificate")
-    seen: set[str] = set()
-    maxes = set(g.poset.maximal_elements())
-    for c in chains:
-        if not c:
-            raise InvalidCertificate("empty chain")
-        if g.rank[c[0]] != 1:
-            raise InvalidCertificate(f"chain must start at rank 1: {c}")
-        if c[-1] not in maxes:
-            raise InvalidCertificate(f"chain must end at a maximal element: {c}")
-        for a, b in zip(c, c[1:]):
-            if not g.poset.is_cover(a, b):
-                raise InvalidCertificate(f"chain not saturated at {a} < {b}")
-        for e in c:
-            if e in seen:
-                raise InvalidCertificate(f"chains overlap at {e}")
-            seen.add(e)
-    if seen != set(g.elements):
-        raise InvalidCertificate("chains must cover the poset")
-    return g, tuple(tuple(c) for c in chains)
+    # constructing the decomposition runs its checks
+    return g, ChainDecomposition(g, tuple(tuple(c) for c in chains)).chains
 
 
 def _layer_relation(g: GradedPoset, chains, i: int) -> tuple[list[int], dict]:

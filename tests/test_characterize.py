@@ -259,3 +259,23 @@ def test_classification_report_fields():
     assert report["bi_cm"] is False
     import json
     json.dumps(report)  # fully serializable
+
+
+def test_classification_report_runs_each_structural_check_once(monkeypatch):
+    from flagposet import characterize
+    calls = []
+    for name in ("check_cm_structural", "has_linear_resolution_structural"):
+        def counted(*args, _fn=getattr(characterize, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(characterize, name, counted)
+    for g in (fp.hom_rt_poset(2, 3), fp.example_4_9(), fp.example_3_4()):
+        calls.clear()
+        report = fp.classification_report(g)
+        assert sorted(calls) == ["check_cm_structural",
+                                 "has_linear_resolution_structural"]
+        bi = fp.is_bi_cm(g)
+        assert report["bi_cm"] == bi.value
+        assert report["certificates"]["bi_cm"] \
+            == characterize.jsonable(bi.certificate)
+        assert report["witnesses"]["bi_cm"] == characterize.jsonable(bi.witness)

@@ -1,75 +1,41 @@
-"""The two kernel twins must agree exactly; a few hand-checked values
-pin the semantics.
-
-When the compiled twin is not installed, the twin tests build the
-tracked C source with gcc into a temporary directory and load it from
-there; they skip when that is not possible either.
+"""The pure kernel against hand-checked values and independent
+references: plain dense elimination (Fractions over QQ, integers mod p
+over GF(p)), a brute-force subset filter and a brute-force downward
+closure, on seeded random inputs.
 """
 
-import importlib.util
 import random
-import shutil
-import subprocess
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from flagposet import _kernel_py
-from flagposet import kernel
-
-try:
-    from flagposet import _kernel_c as _installed_c
-except ImportError:
-    _installed_c = None
-
-C_SOURCE = Path(_kernel_py.__file__).with_name("_kernel_c.c")
 
 
-@pytest.fixture(scope="module")
-def _kernel_c(tmp_path_factory):
-    """The compiled twin: installed, or built here from the C source."""
-    if _installed_c is not None:
-        return _installed_c
-    gcc = shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if gcc is None or not C_SOURCE.exists() \
-            or not Path(include, "Python.h").exists():
-        pytest.skip("compiled kernel not built and no toolchain to build it")
-    target = tmp_path_factory.mktemp("kernel_c") \
-        / ("_kernel_c" + sysconfig.get_config_var("EXT_SUFFIX"))
-    build = subprocess.run([gcc, "-O2", "-shared", "-fPIC", f"-I{include}",
-                            str(C_SOURCE), "-o", str(target)],
-                           capture_output=True, text=True, timeout=300)
-    if build.returncode != 0:
-        pytest.skip(f"compiled kernel failed to build: {build.stderr[-400:]}")
-    spec = importlib.util.spec_from_file_location("flagposet._kernel_c",
-                                                  target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _rank_fraction(rows):
-    """Reference rank over QQ by dense Fraction elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _rank_reference(rows, p=0):
+    """Reference rank by dense elimination, over QQ in Fractions when
+    p = 0 and over GF(p) in integers mod p otherwise."""
+    mat = [[x % p if p else Fraction(x) for x in row] for row in rows]
     rank = 0
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        inv = pow(top[col], -1, p) if p else 1 / top[col]
         for i in range(rank + 1, len(mat)):
-            f = mat[i][col] / mat[rank][col]
-            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+            f = mat[i][col] * inv
+            row = [x - f * y for x, y in zip(mat[i], top)]
+            mat[i] = [x % p for x in row] if p else row
         rank += 1
     return rank
 
 
-def _cohomology_dims_fraction(face_masks):
-    """Reference reduced cohomology over QQ, straight from the
-    definition: dim H^c = #faces of size c - rank d_c - rank d_(c-1)."""
+def _cohomology_dims_reference(face_masks, p=0):
+    """Reference reduced cohomology over GF(p), or QQ when p = 0,
+    straight from the definition: dim H^c = #faces of size c - rank d_c
+    - rank d_(c-1)."""
     if not face_masks:
         return []
     top = max(bin(f).count("1") for f in face_masks)
@@ -84,7 +50,7 @@ def _cohomology_dims_fraction(face_masks):
                 if f & ~g == 0:
                     b = g ^ f
                     rows[i][j] = (-1) ** bin(f & (b - 1)).count("1")
-        ranks.append(_rank_fraction(rows) if nxt else 0)
+        ranks.append(_rank_reference(rows, p) if nxt else 0)
     return [len(levels[c]) - ranks[c] - (ranks[c - 1] if c else 0)
             for c in range(top + 1)]
 
@@ -104,6 +70,7 @@ def test_rank_mod_p_known_values():
     assert _kernel_py.rank_mod_p([[2, 0], [0, 1]], 3) == 2
     # rank can drop in finite characteristic
     assert _kernel_py.rank_mod_p([[3]], 3) == 0
+    assert _kernel_py.rank_mod_p([], 3) == 0
     assert _kernel_py.rank_qq([[3]]) == 1
     assert _kernel_py.rank_qq([]) == 0
 
@@ -125,10 +92,36 @@ def test_rank_qq_matches_fraction_elimination():
         else:
             rows = [[rng.randrange(-9, 10) for _ in range(m)]
                     for _ in range(n)]
-        expected = _rank_fraction(rows)
+        expected = _rank_reference(rows)
         assert _kernel_py.rank_qq(rows) == expected, rows
+        for p in (3, 5, 32003):
+            assert _kernel_py.rank_mod_p(rows, p) \
+                == _rank_reference(rows, p), (rows, p)
         drops_mod_3 += _kernel_py.rank_mod_p(rows, 3) < expected
     assert drops_mod_3 > 10
+
+
+def test_rank_gf2_matches_reference_elimination():
+    rng = random.Random(42)
+    deficient = 0
+    for trial in range(200):
+        m = rng.randrange(1, 91)
+        # sums of a few dense or sparse random rows, so rows often cross
+        # 64 bits and often depend on each other
+        basis = [rng.getrandbits(m) if trial % 2 else
+                 1 << rng.randrange(m) | 1 << rng.randrange(m)
+                 for _ in range(rng.randrange(1, 10))]
+        rows = []
+        for _ in range(rng.randrange(0, 12)):
+            row = 0
+            for b in rng.sample(basis, rng.randrange(1, len(basis) + 1)):
+                row ^= b
+            rows.append(row)
+        expected = _rank_reference([[r >> j & 1 for j in range(m)]
+                                   for r in rows], 2)
+        assert _kernel_py.rank_gf2(rows, m) == expected, (rows, m)
+        deficient += expected < len(rows)
+    assert deficient > 50
 
 
 def test_faces_from_nonfaces_semantics():
@@ -139,6 +132,23 @@ def test_faces_from_nonfaces_semantics():
     assert len(faces) == 1 + 4 + 4
     assert _kernel_py.faces_from_nonfaces([0], 0b11) == []
     assert _kernel_py.faces_from_nonfaces([], 0b11) == [0, 1, 2, 3]
+    # nonfaces outside sub_mask are skipped, however wide
+    wide = [1 << 70 | 1, 1 << 65 | 1 << 64, 0b101]
+    assert _kernel_py.faces_from_nonfaces(wide, 0b111) \
+        == _kernel_py.faces_from_nonfaces([0b101], 0b111)
+
+
+def test_faces_from_nonfaces_matches_subset_filter():
+    rng = random.Random(7)
+    for _ in range(200):
+        nverts = rng.randrange(1, 9)
+        full = (1 << nverts) - 1
+        gens = [rng.getrandbits(nverts) for _ in range(rng.randrange(0, 5))]
+        sub = rng.getrandbits(nverts) & ~(1 << rng.randrange(nverts))
+        expected = [s for s in range(full + 1) if s & ~sub == 0
+                    and not any(g & ~s == 0 for g in gens)]
+        assert _kernel_py.faces_from_nonfaces(gens, sub) == expected, \
+            (gens, sub)
 
 
 def test_faces_from_facets_semantics():
@@ -146,6 +156,16 @@ def test_faces_from_facets_semantics():
     assert _kernel_py.faces_from_facets([0]) == [0]
     assert _kernel_py.faces_from_facets([0b11, 0b101]) \
         == [0, 1, 2, 3, 4, 5]
+
+
+def test_faces_from_facets_matches_downward_closure():
+    rng = random.Random(8)
+    for _ in range(200):
+        nverts = rng.randrange(1, 9)
+        facets = [rng.getrandbits(nverts) for _ in range(rng.randrange(0, 5))]
+        expected = [s for s in range(1 << nverts)
+                    if any(s & ~f == 0 for f in facets)]
+        assert _kernel_py.faces_from_facets(facets) == expected, facets
 
 
 def test_cohomology_dims_known_values():
@@ -157,9 +177,15 @@ def test_cohomology_dims_known_values():
     assert _kernel_py.cohomology_dims(hollow, 2) == [0, 0, 1]
     assert _kernel_py.cohomology_dims(hollow, 32003) == [0, 0, 1]
     assert _kernel_py.cohomology_dims(hollow, 0) == [0, 0, 1]
+    # (del 1, lk 1) of the hollow triangle, a relative pair: only the
+    # edge 2-4 is left, and its boundary points lie in the link
+    for p in (2, 32003):
+        assert _kernel_py.cohomology_dims([0b110], p) == [0, 0, 1]
 
 
-def test_cohomology_dims_over_qq_matches_fraction_elimination():
+@pytest.mark.parametrize("p", [2, 3, 32003, 0],
+                         ids=["GF(2)", "GF(3)", "GF(32003)", "QQ"])
+def test_cohomology_dims_matches_reference_elimination(p):
     rng = random.Random(5)
     for _ in range(150):
         nverts = rng.randrange(1, 7)
@@ -167,15 +193,18 @@ def test_cohomology_dims_over_qq_matches_fraction_elimination():
         gens = [rng.getrandbits(nverts) & full or 1
                 for _ in range(rng.randrange(0, 5))]
         faces = _kernel_py.faces_from_nonfaces(gens, full)
-        assert _kernel_py.cohomology_dims(faces, 0) \
-            == _cohomology_dims_fraction(faces)
+        assert _kernel_py.cohomology_dims(faces, p) \
+            == _cohomology_dims_reference(faces, p), gens
+
+
+def test_cohomology_dims_over_qq_matches_fraction_elimination():
     # the six-vertex projective plane: torsion only, so QQ sees no
     # cohomology while GF(2) does
     rp2 = [0b010011, 0b100011, 0b001101, 0b100101, 0b011001, 0b001110,
            0b010110, 0b101010, 0b110100, 0b111000]
     faces = _kernel_py.faces_from_facets(rp2)
     assert _kernel_py.cohomology_dims(faces, 0) \
-        == _cohomology_dims_fraction(faces) == [0, 0, 0, 0]
+        == _cohomology_dims_reference(faces) == [0, 0, 0, 0]
     assert _kernel_py.cohomology_dims(faces, 2) == [0, 0, 1, 1]
 
 
@@ -208,87 +237,3 @@ def test_cohomology_dims_of_star_excision_pairs():
                     == whole, (gens, k, p)
                 pairs += 1
     assert pairs > 500
-
-
-def test_twins_agree_on_random_ranks(_kernel_c):
-    rng = random.Random(42)
-    for _ in range(200):
-        n = rng.randrange(0, 12)
-        m = rng.randrange(1, 90)
-        rows = [rng.getrandbits(m) for _ in range(n)]
-        assert _kernel_c.rank_gf2(rows, m) == _kernel_py.rank_gf2(rows, m)
-    for p in (3, 5, 32003):
-        for _ in range(60):
-            n = rng.randrange(0, 9)
-            m = rng.randrange(1, 9)
-            rows = [[rng.randrange(-6, 7) for _ in range(m)]
-                    for _ in range(n)]
-            assert _kernel_c.rank_mod_p(rows, p) \
-                == _kernel_py.rank_mod_p(rows, p)
-
-
-def test_twins_agree_on_random_complexes(_kernel_c):
-    rng = random.Random(7)
-    for _ in range(120):
-        nverts = rng.randrange(1, 9)
-        full = (1 << nverts) - 1
-        gens = [rng.getrandbits(nverts) & full or 1
-                for _ in range(rng.randrange(0, 5))]
-        sub = rng.getrandbits(nverts) & full
-        fc = _kernel_c.faces_from_nonfaces(gens, sub)
-        fpu = _kernel_py.faces_from_nonfaces(gens, sub)
-        assert fc == fpu
-        for p in (2, 32003):
-            assert _kernel_c.cohomology_dims(fc, p) \
-                == _kernel_py.cohomology_dims(fpu, p)
-        facets = [rng.getrandbits(nverts) & full
-                  for _ in range(rng.randrange(1, 5))]
-        assert _kernel_c.faces_from_facets(facets) \
-            == _kernel_py.faces_from_facets(facets)
-
-
-def test_dispatcher_exposes_choice():
-    assert kernel.IMPLEMENTATION in ("pure", "compiled")
-    assert kernel.rank_gf2([0b1], 1) == 1
-
-
-class _RecordingTwin:
-    """Stands in for the compiled twin and records what it is handed."""
-
-    def __init__(self):
-        self.calls = []
-
-    def cohomology_dims(self, face_masks, p):
-        self.calls.append(p)
-        return _kernel_py.cohomology_dims(face_masks, p)
-
-
-def test_dispatcher_keeps_qq_on_the_pure_twin(monkeypatch):
-    twin = _RecordingTwin()
-    monkeypatch.setattr(kernel, "_compiled", twin)
-    hollow = [0, 1, 2, 4, 0b011, 0b101, 0b110]
-    for p in (0, 2, 32003, 2**31 + 11):
-        assert kernel.cohomology_dims(hollow, p) == [0, 0, 1]
-    assert twin.calls == [2, 32003]
-
-
-def test_dispatcher_keeps_relative_pairs_on_the_pure_twin(monkeypatch):
-    twin = _RecordingTwin()
-    monkeypatch.setattr(kernel, "_compiled", twin)
-    hollow = [0, 1, 2, 4, 0b011, 0b101, 0b110]
-    # (del 1, lk 1) of the hollow triangle: only the edge 2-4 is left,
-    # and its boundary points lie in the link
-    assert kernel.cohomology_dims([0b110], 2) == [0, 0, 1]
-    assert kernel.cohomology_dims([0b110], 32003) == [0, 0, 1]
-    assert kernel.cohomology_dims([], 2) == []
-    assert twin.calls == []
-    assert kernel.cohomology_dims(hollow, 2) == [0, 0, 1]
-    assert twin.calls == [2]
-
-
-def test_dispatcher_drops_wide_nonfaces_for_compiled_twin(_kernel_c,
-                                                          monkeypatch):
-    monkeypatch.setattr(kernel, "_compiled", _kernel_c)
-    wide = [1 << 70 | 1, 1 << 65 | 1 << 64, 0b101]
-    assert kernel.faces_from_nonfaces(wide, 0b111) \
-        == _kernel_py.faces_from_nonfaces(wide, 0b111)
