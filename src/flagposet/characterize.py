@@ -35,6 +35,7 @@ from .posets import (
     layer_pair,
     rank_function,
     rank_selection,
+    topological_order,
 )
 
 DEFAULT_CHAIN_PAIRS = 200000
@@ -94,20 +95,11 @@ class Verdict:
 # Chain decompositions via per-layer matchings
 # ---------------------------------------------------------------------------
 
-def _layer_adjacency(g: GradedPoset, i: int) -> tuple[tuple[str, ...], tuple[str, ...], dict]:
-    """Tops (rank i+1), trimmed bottoms (non-maximal rank i), and the
-    parents-in-bottom adjacency of each top."""
-    bottom = g.trimmed_layer(i)
-    top = g.layer(i + 1)
-    bset = set(bottom)
-    adj = {t: tuple(p for p in g.poset.parents(t) if p in bset) for t in top}
-    return top, bottom, adj
-
-
-def _kuhn_perfect_matching(top, bottom, adj) -> dict[str, str] | None:
+def _kuhn_perfect_matching(layer: BipartiteLayer) -> dict[str, str] | None:
     """A matching of every top vertex into distinct bottoms, or None."""
-    if len(top) != len(bottom):
+    if len(layer.top) != len(layer.bottom):
         return None
+    adj = {t: layer.neighbors_top(t) for t in layer.top}
     match_b: dict[str, str] = {}
 
     def augment(t: str, visited: set[str]) -> bool:
@@ -120,17 +112,19 @@ def _kuhn_perfect_matching(top, bottom, adj) -> dict[str, str] | None:
                 return True
         return False
 
-    for t in top:
+    for t in layer.top:
         if not augment(t, set()):
             return None
     return {t: b for b, t in match_b.items()}
 
 
-def _perfect_matchings_iter(top, bottom, adj) -> Iterator[dict[str, str]]:
+def _perfect_matchings_iter(layer: BipartiteLayer) -> Iterator[dict[str, str]]:
     """All perfect matchings, tops assigned in order, bottoms tried in
-    adjacency order."""
-    if len(top) != len(bottom):
+    bottom order."""
+    top = layer.top
+    if len(top) != len(layer.bottom):
         return
+    adj = {t: layer.neighbors_top(t) for t in top}
     used: set[str] = set()
     acc: dict[str, str] = {}
 
@@ -169,8 +163,7 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
     """One chain decomposition, or (None, offending layer index)."""
     matchings = []
     for i in range(1, g.rbar()):
-        top, bottom, adj = _layer_adjacency(g, i)
-        m = _kuhn_perfect_matching(top, bottom, adj)
+        m = _kuhn_perfect_matching(layer_pair(g, i, trim=True))
         if m is None:
             return None, i
         matchings.append(m)
@@ -178,14 +171,13 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
 
 
 def _all_decompositions(g: GradedPoset) -> Iterator[tuple[tuple[str, ...], ...]]:
-    layers = [_layer_adjacency(g, i) for i in range(1, g.rbar())]
+    layers = [layer_pair(g, i, trim=True) for i in range(1, g.rbar())]
 
     def rec(i: int, acc: list[dict[str, str]]) -> Iterator[tuple[tuple[str, ...], ...]]:
         if i == len(layers):
             yield _assemble_chains(g, acc)
             return
-        top, bottom, adj = layers[i]
-        for m in _perfect_matchings_iter(top, bottom, adj):
+        for m in _perfect_matchings_iter(layers[i]):
             yield from rec(i + 1, acc + [m])
 
     yield from rec(0, [])
@@ -317,6 +309,25 @@ def _condition4(g: GradedPoset, chains, budget: _PairBudget,
 # Unmixedness and Cohen-Macaulayness
 # ---------------------------------------------------------------------------
 
+def _chain_conditions(g: GradedPoset,
+                      chain_pairs: int) -> tuple[tuple | None, dict | None]:
+    """Conditions 2-4, shared by unmixedness and Cohen-Macaulayness: a
+    chain decomposition, and the two recombination conditions on it.
+    Returns ``(chains, None)``, or ``(None, witness)`` for the first
+    condition that fails."""
+    chains, bad = _first_decomposition(g)
+    if chains is None:
+        return None, {"condition": 2, "layer": bad}
+    budget = _PairBudget(chain_pairs)
+    ok, wit = _condition3(g, chains, budget, weak=False)
+    if not ok:
+        return None, {"condition": 3, **wit}
+    ok, wit = _condition4(g, chains, budget, weak=False)
+    if not ok:
+        return None, {"condition": 4, **wit}
+    return chains, None
+
+
 def check_unmixed_structural(g: GradedPoset,
                              chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> Verdict:
     """Unmixedness via layer sizes, per-layer perfect matchings, and the
@@ -326,16 +337,9 @@ def check_unmixed_structural(g: GradedPoset,
         if sizes[i] < sizes[i + 1]:
             return Verdict(False, witness={"condition": 1,
                                            "layer_sizes": list(sizes)})
-    chains, bad = _first_decomposition(g)
+    chains, witness = _chain_conditions(g, chain_pairs)
     if chains is None:
-        return Verdict(False, witness={"condition": 2, "layer": bad})
-    budget = _PairBudget(chain_pairs)
-    ok, wit = _condition3(g, chains, budget, weak=False)
-    if not ok:
-        return Verdict(False, witness={"condition": 3, **wit})
-    ok, wit = _condition4(g, chains, budget, weak=False)
-    if not ok:
-        return Verdict(False, witness={"condition": 4, **wit})
+        return Verdict(False, witness=witness)
     ordered = tuple(sorted(chains, key=lambda c: (-len(c),
                                                   g.poset.index(c[0]))))
     return Verdict(True, certificate=ChainDecomposition(g, ordered))
@@ -358,31 +362,13 @@ def check_weak_conditions(g: GradedPoset,
 def _label_order(g: GradedPoset, chains) -> list[int] | None:
     """Topological order of the chain constraint digraph (an edge u -> v
     for each cover from chain u into chain v), or None on a cycle."""
-    tid = {}
-    for u, c in enumerate(chains):
-        for e in c:
-            tid[e] = u
-    n = len(chains)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    indeg = [0] * n
+    tid = {e: u for u, c in enumerate(chains) for e in c}
+    succ: list[set[int]] = [set() for _ in chains]
     for p, q in g.covers:
-        u, v = tid[p], tid[q]
-        if u != v and v not in succ[u]:
-            succ[u].add(v)
-            indeg[v] += 1
-    order = []
-    ready = sorted(u for u in range(n) if indeg[u] == 0)
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for v in sorted(succ[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-        ready.sort()
-    if len(order) != n:
-        return None
-    return order
+        if tid[p] != tid[q]:
+            succ[tid[p]].add(tid[q])
+    order = topological_order(succ)
+    return order if len(order) == len(chains) else None
 
 
 def check_cm_structural(g: GradedPoset,
@@ -398,16 +384,9 @@ def check_cm_structural(g: GradedPoset,
     if p1 != nmax:
         return Verdict(False, witness={"condition": 1,
                                        "minimal": p1, "maximal": nmax})
-    chains, bad = _first_decomposition(g)
+    chains, witness = _chain_conditions(g, chain_pairs)
     if chains is None:
-        return Verdict(False, witness={"condition": 2, "layer": bad})
-    budget = _PairBudget(chain_pairs)
-    ok, wit = _condition3(g, chains, budget, weak=False)
-    if not ok:
-        return Verdict(False, witness={"condition": 3, **wit})
-    ok, wit = _condition4(g, chains, budget, weak=False)
-    if not ok:
-        return Verdict(False, witness={"condition": 4, **wit})
+        return Verdict(False, witness=witness)
     tried = 0
     for candidate in _all_decompositions(g):
         tried += 1
@@ -537,40 +516,22 @@ def herzog_hibi_bipartite_cm(layer: BipartiteLayer) -> Verdict:
                                                  len(layer.top))})
     if not layer.bottom:
         return Verdict(True, certificate={"pairs": []})
-    adj = {b: layer.neighbors_top(b) for b in layer.top}
-    for matching in _perfect_matchings_iter(layer.top, layer.bottom, adj):
+    for matching in _perfect_matchings_iter(layer):
         pairs = [(matching[b], b) for b in layer.top]
-        t = len(pairs)
-        rel = [[(pairs[i][0], pairs[j][1]) in layer.edges
-                for j in range(t)] for i in range(t)]
-        ok = True
-        for i in range(t):
-            for j in range(t):
-                if i != j and rel[i][j] and rel[j][i]:
-                    ok = False
-        for i in range(t):
-            for j in range(t):
-                for k in range(t):
-                    if rel[i][j] and rel[j][k] and not rel[i][k]:
-                        ok = False
-        if not ok:
+        r = range(len(pairs))
+        rel = [[(pairs[i][0], pairs[j][1]) in layer.edges for j in r]
+               for i in r]
+        if any(i != j and rel[i][j] and rel[j][i] for i in r for j in r):
             continue
-        succ = [set(j for j in range(t) if j != i and rel[i][j])
-                for i in range(t)]
-        indeg = [sum(1 for i in range(t) if j in succ[i]) for j in range(t)]
-        order = []
-        ready = sorted(i for i in range(t) if indeg[i] == 0)
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            for v in sorted(succ[u]):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
-        if len(order) == t:
-            return Verdict(True, certificate={
-                "pairs": [list(pairs[u]) for u in order]})
+        if any(rel[i][j] and rel[j][k] and not rel[i][k]
+               for i in r for j in r for k in r):
+            continue
+        # an antisymmetric, transitive relation has no cycle, so every
+        # pair is placed
+        order = topological_order([[j for j in r if j != i and rel[i][j]]
+                                   for i in r])
+        return Verdict(True, certificate={
+            "pairs": [list(pairs[u]) for u in order]})
     return Verdict(False, witness={
         "reason": "no perfect matching induces a partial order"})
 
@@ -645,8 +606,14 @@ def classification_report(p: Poset | GradedPoset, f=None,
     cm_s = check_cm_structural(g, b["matching_nodes"], b["chain_pairs"])
     lr_s = has_linear_resolution_structural(g)
     bi = _bi_cm_verdict(g, cm_s, lr_s, b["iso_elements"])
-    unmixed_o = is_unmixed_bruteforce(g, b["cover_enum"])
+    # both oracles are exponential, so both size budgets fire before
+    # either starts, the transversal one (as in minimal_transversals)
+    # first and the Betti one at the start of oracle_verdicts
+    if len(poset) > b["cover_enum"]:
+        raise BudgetExceeded(f"transversal enumeration limited to "
+                             f"{b['cover_enum']} vertices")
     cm_o, lr_o = oracle_verdicts(ideal, f, b["betti_vars"])
+    unmixed_o = is_unmixed_bruteforce(g, b["cover_enum"])
     report.update({
         "pure": g.is_pure(),
         "connected": len(connected_components(poset)) <= 1,

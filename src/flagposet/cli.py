@@ -14,12 +14,7 @@ import sys
 from dataclasses import dataclass
 from dataclasses import field as _dc_field
 
-from .characterize import (
-    DEFAULT_CHAIN_PAIRS,
-    DEFAULT_MATCHING_NODES,
-    classification_report,
-)
-from .covers import DEFAULT_COVER_BUDGET
+from .characterize import classification_report
 from .errors import BudgetExceeded, FlagPosetError, InvalidParameter, NotGraded
 from .fields import GF2, FieldSpec, LaurentPoly, parse_field
 from .generate import RandomPosetSpec, random_graded_poset
@@ -55,13 +50,8 @@ BUDGET_NAMES = ("cover_enum", "betti_vars", "matching_nodes",
 @dataclass
 class Config:
     field: FieldSpec = GF2
-    budgets: dict = _dc_field(default_factory=lambda: {
-        "cover_enum": DEFAULT_COVER_BUDGET,
-        "betti_vars": DEFAULT_BETTI_VARS,
-        "matching_nodes": DEFAULT_MATCHING_NODES,
-        "iso_elements": DEFAULT_ISO_BUDGET,
-        "chain_pairs": DEFAULT_CHAIN_PAIRS,
-    })
+    # only the --budget-* values given; each consumer has its defaults
+    budgets: dict = _dc_field(default_factory=dict)
     seed: int = 0
     fmt: str = "json"
 
@@ -90,7 +80,7 @@ def _config(args) -> Config:
     return cfg
 
 
-def _load_poset(args, cfg: Config) -> Poset:
+def _load_poset(args) -> Poset:
     if getattr(args, "example", None):
         return _example(args.example)
     if not getattr(args, "file", None):
@@ -157,7 +147,7 @@ def _emit_text(payload, out, indent=0) -> None:
 
 def cmd_classify(args, out) -> int:
     cfg = _config(args)
-    poset = _load_poset(args, cfg)
+    poset = _load_poset(args)
     report = classification_report(poset, cfg.field, cfg.budgets)
     if args.pretty and cfg.fmt == "json":
         cfg.fmt = "text"
@@ -167,7 +157,7 @@ def cmd_classify(args, out) -> int:
 
 def cmd_betti(args, out) -> int:
     cfg = _config(args)
-    poset = _load_poset(args, cfg)
+    poset = _load_poset(args)
     g = rank_function(poset)
     if g is None:
         raise NotGraded("Betti computations need a graded poset")
@@ -193,7 +183,8 @@ def cmd_betti(args, out) -> int:
     if args.fast:
         table = graded_betti_table(g, cfg.field)
     else:
-        table = full_betti_table(ideal, cfg.field, cfg.budgets["betti_vars"])
+        budget = cfg.budgets.get("betti_vars", DEFAULT_BETTI_VARS)
+        table = full_betti_table(ideal, cfg.field, budget)
     if args.verify:
         rows: dict[frozenset[str], dict[int, int]] = {}
         for (j, a), b in table.entries.items():
@@ -245,7 +236,8 @@ def cmd_isomorphic(args, out) -> int:
         p = parse_poset_text(handle.read())
     with open(args.file2, encoding="utf-8") as handle:
         q = parse_poset_text(handle.read())
-    bijection = are_isomorphic(p, q, budget=cfg.budgets["iso_elements"])
+    bijection = are_isomorphic(
+        p, q, budget=cfg.budgets.get("iso_elements", DEFAULT_ISO_BUDGET))
     payload = {"isomorphic": bijection is not None,
                "bijection": bijection}
     _emit(payload, cfg, out)

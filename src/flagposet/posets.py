@@ -14,6 +14,7 @@ and chain lists are sorted lexicographically by id sequence.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 
@@ -30,6 +31,32 @@ from .errors import (
 DEFAULT_ISO_BUDGET = 24
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+
+def topological_order(succ) -> list[int]:
+    """Topological order of the digraph on 0..n-1 whose successor lists
+    are ``succ`` (n = len(succ)).
+
+    Kahn's algorithm that always takes the smallest ready vertex next,
+    so the order depends on the digraph alone, not on how the successor
+    lists are ordered.  The list is shorter than n exactly when the
+    digraph has a cycle: the vertices left out are those on a cycle or
+    reachable from one.
+    """
+    indeg = [0] * len(succ)
+    for vs in succ:
+        for v in vs:
+            indeg[v] += 1
+    ready = [u for u, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return order
 
 
 class Poset:
@@ -69,21 +96,10 @@ class Poset:
             children[index[p]].append(index[q])
             parents[index[q]].append(index[p])
 
-        # Kahn topological order; leftover nodes witness a cycle.
-        indeg = [len(parents[i]) for i in range(n)]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        topo = []
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            topo.append(u)
-            for v in children[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
+        topo = topological_order(children)
         if len(topo) != n:
-            bad = [elements[i] for i in range(n) if indeg[i] > 0]
+            placed = set(topo)
+            bad = [elements[i] for i in range(n) if i not in placed]
             raise CycleDetected(f"cover digraph has a cycle through {bad}")
 
         # Strict descendants by reverse topological DP; a cover (p, q) is
@@ -244,34 +260,13 @@ def rank_function(p: Poset) -> GradedPoset | None:
     Rank 1 is propagated from the minimal elements along covers, per
     connected component; any inconsistency means the poset is ungraded.
     """
-    rank: dict[str, int] = {}
-    order = _topological_elements(p)
-    for e in order:
-        parents = p.parents(e)
-        if not parents:
-            rank[e] = 1
-            continue
-        values = {rank[q] + 1 for q in parents}
+    rank = [0] * len(p)
+    for u in topological_order(p._children):
+        values = {rank[v] + 1 for v in p._parents[u]} or {1}
         if len(values) > 1:
             return None
-        rank[e] = values.pop()
-    return GradedPoset(p, rank)
-
-
-def _topological_elements(p: Poset) -> list[str]:
-    indeg = {e: len(p.parents(e)) for e in p.elements}
-    queue = [e for e in p.elements if indeg[e] == 0]
-    out = []
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
-        out.append(e)
-        for c in p.children(e):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return out
+        rank[u] = values.pop()
+    return GradedPoset(p, dict(zip(p.elements, rank)))
 
 
 @dataclass(frozen=True)

@@ -279,3 +279,23 @@ def test_classification_report_runs_each_structural_check_once(monkeypatch):
         assert report["certificates"]["bi_cm"] \
             == characterize.jsonable(bi.certificate)
         assert report["witnesses"]["bi_cm"] == characterize.jsonable(bi.witness)
+
+
+def test_classification_report_checks_size_budgets_first(monkeypatch):
+    # each size budget stops the report before the other oracle's
+    # exponential work starts: hom(4, 5) has 20 > 18 Betti variables,
+    # and hom(4, 4) has 16 > 10 elements for the transversals
+    from flagposet import covers, homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exponential work started before a budget")
+    monkeypatch.setattr(covers, "is_unmixed_bruteforce", refuse)
+    with pytest.raises(BudgetExceeded,
+                       match="Betti table limited to 18 variables"):
+        fp.classification_report(fp.hom_rt_poset(4, 5))
+    monkeypatch.undo()
+    monkeypatch.setattr(homology, "oracle_verdicts", refuse)
+    with pytest.raises(BudgetExceeded,
+                       match="transversal enumeration limited to 10 vertices"):
+        fp.classification_report(fp.hom_rt_poset(4, 4),
+                                 budgets={"cover_enum": 10})

@@ -181,6 +181,22 @@ def test_cohomology_dims_known_values():
     # edge 2-4 is left, and its boundary points lie in the link
     for p in (2, 32003):
         assert _kernel_py.cohomology_dims([0b110], p) == [0, 0, 1]
+    # a mod-3 Moore space: the circle 0, 1, 2, a ring r_0..r_8 wrapped
+    # three times around it, and the cone from 12 over the ring; H_1 is
+    # Z/3, so only GF(3) sees cohomology
+    ring = [3 + i % 9 for i in range(10)]
+    facets = []
+    for i in range(9):
+        a, b = i % 3, (i + 1) % 3
+        facets += [(a, b, ring[i]), (b, ring[i], ring[i + 1]),
+                   (ring[i], ring[i + 1], 12)]
+    faces = _kernel_py.faces_from_facets(
+        [sum(1 << v for v in f) for f in facets])
+    assert len(faces) == 80
+    for p in (3, 2, 5, 7, 32003, 0):
+        expected = [0, 0, 1, 1] if p == 3 else [0, 0, 0, 0]
+        assert _kernel_py.cohomology_dims(faces, p) \
+            == _cohomology_dims_reference(faces, p) == expected, p
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 0],

@@ -30,6 +30,23 @@ def test_build_rejects_cycle():
         fp.build_poset(["a"], [("a", "a")])
 
 
+def test_topological_order_takes_smallest_ready_vertex():
+    # first-in-first-out would give 0, 1, 3, 2 on both digraphs
+    assert fp.posets.topological_order([[3], [2], [], []]) == [0, 1, 2, 3]
+    assert fp.posets.topological_order([[3, 2], [], [], []]) == [0, 1, 2, 3]
+    # 1 -> 2 -> 1 is a cycle: 0 and 3 are placed, 1 and 2 are not
+    assert fp.posets.topological_order([[1], [2], [1], []]) == [0, 3]
+    assert fp.posets.topological_order([]) == []
+    with pytest.raises(CycleDetected) as excinfo:
+        fp.build_poset("abcd", [("d", "a"), ("a", "b"), ("b", "c"),
+                                ("c", "b")])
+    assert str(excinfo.value) == "cover digraph has a cycle through ['b', 'c']"
+    # the chain labeling of a CM certificate is the sort's order
+    assert fp.check_cm_structural(fp.example_4_9()).certificate.chains == (
+        ("a1", "a2", "a3"), ("b1", "b2", "b3", "b4"), ("c1", "c2"),
+        ("d1", "d2", "d3", "d4"), ("e1", "e2", "e3"))
+
+
 def test_build_rejects_redundant_cover():
     with pytest.raises(RedundantCover):
         fp.build_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
