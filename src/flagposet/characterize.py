@@ -92,95 +92,82 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Chain decompositions via per-layer matchings
+# Chain decompositions read off the Hasse diagram
 # ---------------------------------------------------------------------------
+#
+# A decomposition is a map ``up`` from every non-maximal element to one of
+# its children that no two elements share; following it from each rank-1
+# element gives the chains.  Parents are stored in element order, so every
+# search below tries neighbours in a fixed order and its results are
+# deterministic.
 
-def _kuhn_perfect_matching(layer: BipartiteLayer) -> dict[str, str] | None:
-    """A matching of every top vertex into distinct bottoms, or None."""
-    if len(layer.top) != len(layer.bottom):
-        return None
-    adj = {t: layer.neighbors_top(t) for t in layer.top}
-    match_b: dict[str, str] = {}
-
-    def augment(t: str, visited: set[str]) -> bool:
-        for b in adj[t]:
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_b or augment(match_b[b], visited):
-                match_b[b] = t
-                return True
-        return False
-
-    for t in layer.top:
-        if not augment(t, set()):
-            return None
-    return {t: b for b, t in match_b.items()}
-
-
-def _perfect_matchings_iter(layer: BipartiteLayer) -> Iterator[dict[str, str]]:
-    """All perfect matchings, tops assigned in order, bottoms tried in
-    bottom order."""
-    top = layer.top
-    if len(top) != len(layer.bottom):
-        return
-    adj = {t: layer.neighbors_top(t) for t in top}
+def _matchings(tops, neighbors) -> Iterator[tuple[str, ...]]:
+    """Every way to give each of ``tops`` a distinct one of its
+    ``neighbors``, as the chosen neighbours in top order; tops are
+    assigned in order and neighbours tried in order."""
+    adj = [neighbors(t) for t in tops]
     used: set[str] = set()
-    acc: dict[str, str] = {}
+    acc: list[str] = []
 
-    def rec(k: int) -> Iterator[dict[str, str]]:
-        if k == len(top):
-            yield dict(acc)
+    def rec(k: int) -> Iterator[tuple[str, ...]]:
+        if k == len(adj):
+            yield tuple(acc)
             return
-        t = top[k]
-        for b in adj[t]:
+        for b in adj[k]:
             if b in used:
                 continue
             used.add(b)
-            acc[t] = b
+            acc.append(b)
             yield from rec(k + 1)
-            del acc[t]
+            acc.pop()
             used.discard(b)
 
-    yield from rec(0)
+    return rec(0)
 
 
 def _assemble_chains(g: GradedPoset,
-                     matchings: list[dict[str, str]]) -> tuple[tuple[str, ...], ...]:
-    inverse = [{b: t for t, b in m.items()} for m in matchings]
+                     up: dict[str, str]) -> tuple[tuple[str, ...], ...]:
     chains = []
     for e in g.layer(1) if g.rbar() >= 1 else ():
         c = [e]
-        i = 1
-        while i <= len(inverse) and c[-1] in inverse[i - 1]:
-            c.append(inverse[i - 1][c[-1]])
-            i += 1
+        while c[-1] in up:
+            c.append(up[c[-1]])
         chains.append(tuple(c))
     return tuple(chains)
 
 
 def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | None, int]:
-    """One chain decomposition, or (None, offending layer index)."""
-    matchings = []
+    """One chain decomposition, or (None, offending layer index): layer
+    by layer, Kuhn's augmenting paths match every rank-(i+1) element to
+    a distinct parent, which needs as many of them as non-maximal
+    rank-i elements."""
+    up: dict[str, str] = {}
+
+    def augment(t: str, visited: set[str]) -> bool:
+        for b in g.poset.parents(t):
+            if b in visited:
+                continue
+            visited.add(b)
+            if b not in up or augment(up[b], visited):
+                up[b] = t
+                return True
+        return False
+
     for i in range(1, g.rbar()):
-        m = _kuhn_perfect_matching(layer_pair(g, i, trim=True))
-        if m is None:
+        tops = g.layer(i + 1)
+        if (len(g.trimmed_layer(i)) != len(tops)
+                or not all(augment(t, set()) for t in tops)):
             return None, i
-        matchings.append(m)
-    return _assemble_chains(g, matchings), 0
+    return _assemble_chains(g, up), 0
 
 
 def _all_decompositions(g: GradedPoset) -> Iterator[tuple[tuple[str, ...], ...]]:
-    layers = [layer_pair(g, i, trim=True) for i in range(1, g.rbar())]
-
-    def rec(i: int, acc: list[dict[str, str]]) -> Iterator[tuple[tuple[str, ...], ...]]:
-        if i == len(layers):
-            yield _assemble_chains(g, acc)
-            return
-        for m in _perfect_matchings_iter(layers[i]):
-            yield from rec(i + 1, acc + [m])
-
-    yield from rec(0, [])
+    """Every chain decomposition, the last layer's matching varying
+    fastest; only meaningful once ``_first_decomposition`` found one,
+    which guarantees that each layer's sides have equal size."""
+    tops = [e for i in range(2, g.rbar() + 1) for e in g.layer(i)]
+    for bottoms in _matchings(tops, g.poset.parents):
+        yield _assemble_chains(g, dict(zip(bottoms, tops)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,45 +186,19 @@ class _PairBudget:
                 f"chain-pair enumeration exceeded {self.limit}")
 
 
-def _chains_down(g: GradedPoset, top: str, steps: int) -> list[tuple[str, ...]]:
-    """Saturated chains with ``steps`` covers ending at ``top``."""
-    out: list[tuple[str, ...]] = []
-    stack = [top]
-
-    def rec(e: str, k: int) -> None:
-        if k == 0:
-            out.append(tuple(reversed(stack)))
-            return
-        for p in g.poset.parents(e):
-            stack.append(p)
-            rec(p, k - 1)
-            stack.pop()
-
-    rec(top, steps)
-    return out
-
-
-def _chains_up(g: GradedPoset, bottom: str, steps: int,
-               target: str | None = None) -> list[tuple[str, ...]]:
-    """Saturated chains with ``steps`` covers starting at ``bottom``,
-    optionally forced to end at ``target``."""
-    out: list[tuple[str, ...]] = []
-    stack = [bottom]
-
-    def rec(e: str, k: int) -> None:
-        if k == 0:
-            if target is None or e == target:
-                out.append(tuple(stack))
-            return
-        for c in g.poset.children(e):
-            if target is not None and not g.poset.leq(c, target):
-                continue
-            stack.append(c)
-            rec(c, k - 1)
-            stack.pop()
-
-    rec(bottom, steps)
-    return out
+def _saturated_chains(g: GradedPoset, start: str, steps: int, up: bool,
+                      target: str | None = None) -> list[tuple[str, ...]]:
+    """Saturated chains with ``steps`` covers from ``start``, up along
+    children or down along parents, each listed bottom to top.  With a
+    ``target`` the walk keeps to elements <= it and ends there."""
+    step = g.poset.children if up else g.poset.parents
+    paths = [(start,)]
+    for _ in range(steps):
+        paths = [c + (x,) for c in paths for x in step(c[-1])
+                 if target is None or g.poset.leq(x, target)]
+    if target is not None:
+        paths = [c for c in paths if c[-1] == target]
+    return paths if up else [c[::-1] for c in paths]
 
 
 def _recombines(g: GradedPoset, start: str, c1: tuple[str, ...],
@@ -259,8 +220,8 @@ def _condition3(g: GradedPoset, chains, budget: _PairBudget,
     for chain in chains:
         for i in range(1, len(chain) + 1):
             for j in range(i + 1, len(chain) + 1):
-                down = _chains_down(g, chain[j - 1], j - i)
-                up = _chains_up(g, chain[i - 1], j - i)
+                down = _saturated_chains(g, chain[j - 1], j - i, up=False)
+                up = _saturated_chains(g, chain[i - 1], j - i, up=True)
                 for c1 in down:
                     for c2 in up:
                         budget.tick()
@@ -284,10 +245,11 @@ def _condition4(g: GradedPoset, chains, budget: _PairBudget,
     for chain in chains:
         for i in range(1, len(chain) - 1):
             for k in range(i + 2, len(chain) + 1):
-                down = _chains_down(g, chain[k - 1], k - i)
+                down = _saturated_chains(g, chain[k - 1], k - i, up=False)
                 for j in range(i + 1, k):
                     for w in maxes_by_rank.get(j, ()):
-                        up = _chains_up(g, chain[i - 1], j - i, target=w)
+                        up = _saturated_chains(g, chain[i - 1], j - i,
+                                                up=True, target=w)
                         for c1 in down:
                             for c2 in up:
                                 budget.tick()
@@ -516,8 +478,8 @@ def herzog_hibi_bipartite_cm(layer: BipartiteLayer) -> Verdict:
                                                  len(layer.top))})
     if not layer.bottom:
         return Verdict(True, certificate={"pairs": []})
-    for matching in _perfect_matchings_iter(layer):
-        pairs = [(matching[b], b) for b in layer.top]
+    for bottoms in _matchings(layer.top, layer.neighbors_top):
+        pairs = list(zip(bottoms, layer.top))
         r = range(len(pairs))
         rel = [[(pairs[i][0], pairs[j][1]) in layer.edges for j in r]
                for i in r]

@@ -1,9 +1,13 @@
 """Command-line front door.
 
-Subcommands: classify, betti, generate, isomorphic.  Output is JSON by
-default (deterministic byte-for-byte for a fixed input, config, and
-seed); exit codes are 0 for success, 1 for parse/input errors, and 2
-for budget exhaustion.
+Subcommands: classify, betti, generate, isomorphic.  Each registers
+only the flags it reads: ``--field`` for classify and betti, ``--format``
+for every subcommand but generate (csv only for betti), the
+``--budget-*`` flags of the enumerations it runs, and ``--seed`` for
+generate.  Output is JSON by default (deterministic byte-for-byte for a
+fixed input, flags, and seed); exit codes are 0 for success, 1 for
+usage and input errors (an unknown flag included), and 2 for budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -11,12 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from dataclasses import field as _dc_field
 
 from .characterize import classification_report
 from .errors import BudgetExceeded, FlagPosetError, InvalidParameter, NotGraded
-from .fields import GF2, FieldSpec, LaurentPoly, parse_field
+from .fields import LaurentPoly, parse_field
 from .generate import RandomPosetSpec, random_graded_poset
 from .homology import (
     DEFAULT_BETTI_VARS,
@@ -47,37 +49,41 @@ BUDGET_NAMES = ("cover_enum", "betti_vars", "matching_nodes",
                 "iso_elements", "chain_pairs")
 
 
-@dataclass
-class Config:
-    field: FieldSpec = GF2
-    # only the --budget-* values given; each consumer has its defaults
-    budgets: dict = _dc_field(default_factory=dict)
-    seed: int = 0
-    fmt: str = "json"
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error; argparse's own
+    code 2 is the budget-exhaustion code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_field(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--field", default="gf2",
                         help="coefficient field: gf2 | gfp:<p> | q")
-    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_format(parser: argparse.ArgumentParser, *choices: str) -> None:
     parser.add_argument("--format", dest="fmt", default="json",
-                        choices=["json", "csv", "text"])
-    parser.add_argument("--pretty", action="store_true",
-                        help="human-readable text output")
-    for name in BUDGET_NAMES:
+                        choices=["json", *choices, "text"])
+
+
+def _add_budgets(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
         parser.add_argument(f"--budget-{name.replace('_', '-')}",
                             dest=f"budget_{name}", type=int, default=None)
 
 
-def _config(args) -> Config:
-    cfg = Config(field=parse_field(args.field), seed=args.seed, fmt=args.fmt)
+def _budgets(args) -> dict:
+    """The --budget-* values given; each consumer has its defaults."""
+    out = {}
     for name in BUDGET_NAMES:
         value = getattr(args, f"budget_{name}", None)
         if value is not None:
             if value < 1:
                 raise InvalidParameter(f"budget {name} must be positive")
-            cfg.budgets[name] = value
-    return cfg
+            out[name] = value
+    return out
 
 
 def _load_poset(args) -> Poset:
@@ -118,14 +124,12 @@ def _example(token: str) -> Poset:
     raise InvalidParameter(f"unknown example: {token}")
 
 
-def _emit(payload, cfg: Config, out) -> None:
-    if cfg.fmt == "json":
+def _emit(payload, fmt: str, out) -> None:
+    if fmt == "json":
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
-    elif cfg.fmt == "text":
-        _emit_text(payload, out)
     else:
-        raise InvalidParameter("csv output only applies to Betti tables")
+        _emit_text(payload, out)
 
 
 def _emit_text(payload, out, indent=0) -> None:
@@ -146,27 +150,26 @@ def _emit_text(payload, out, indent=0) -> None:
 
 
 def cmd_classify(args, out) -> int:
-    cfg = _config(args)
-    poset = _load_poset(args)
-    report = classification_report(poset, cfg.field, cfg.budgets)
-    if args.pretty and cfg.fmt == "json":
-        cfg.fmt = "text"
-    _emit(report, cfg, out)
+    field, budgets = parse_field(args.field), _budgets(args)
+    report = classification_report(_load_poset(args), field, budgets)
+    _emit(report, args.fmt, out)
     return 0
 
 
 def cmd_betti(args, out) -> int:
-    cfg = _config(args)
+    field, budgets = parse_field(args.field), _budgets(args)
     poset = _load_poset(args)
     g = rank_function(poset)
     if g is None:
         raise NotGraded("Betti computations need a graded poset")
     ideal = flag_ideal(g)
     if args.multidegree is not None:
+        if args.fmt == "csv":
+            raise InvalidParameter("csv output only applies to Betti tables")
         a = [v for v in args.multidegree.split(",") if v]
-        fast = betti_polynomial_fast(g, a, cfg.field) if (args.fast
-                                                          or args.verify) else None
-        brute = (betti_polynomial_bruteforce(ideal, a, cfg.field)
+        fast = (betti_polynomial_fast(g, a, field)
+                if (args.fast or args.verify) else None)
+        brute = (betti_polynomial_bruteforce(ideal, a, field)
                  if (not args.fast or args.verify) else None)
         if args.verify and fast != brute:
             print(f"MISMATCH: fast {fast} vs brute-force {brute}",
@@ -178,20 +181,20 @@ def cmd_betti(args, out) -> int:
                                         for e, c in sorted(poly.coeffs.items())}}
         if args.verify:
             payload["verified"] = True
-        _emit(payload, cfg, out)
+        _emit(payload, args.fmt, out)
         return 0
     if args.fast:
-        table = graded_betti_table(g, cfg.field)
+        table = graded_betti_table(g, field)
     else:
-        budget = cfg.budgets.get("betti_vars", DEFAULT_BETTI_VARS)
-        table = full_betti_table(ideal, cfg.field, budget)
+        budget = budgets.get("betti_vars", DEFAULT_BETTI_VARS)
+        table = full_betti_table(ideal, field, budget)
     if args.verify:
         rows: dict[frozenset[str], dict[int, int]] = {}
         for (j, a), b in table.entries.items():
             rows.setdefault(a, {})[len(a) - j] = b
         for a in lcm_lattice(ideal):
-            fast = betti_polynomial_fast(g, a, cfg.field)
-            brute = betti_polynomial_bruteforce(ideal, a, cfg.field)
+            fast = betti_polynomial_fast(g, a, field)
+            brute = betti_polynomial_bruteforce(ideal, a, field)
             if fast != brute:
                 print(f"MISMATCH at {sorted(a)}: {fast} vs {brute}",
                       file=sys.stderr)
@@ -201,10 +204,10 @@ def cmd_betti(args, out) -> int:
                 print(f"MISMATCH at {sorted(a)}: table {entry} vs "
                       f"brute-force {brute}", file=sys.stderr)
                 return 1
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         out.write(table.to_csv())
     else:
-        payload = {"field": str(cfg.field),
+        payload = {"field": str(field),
                    "entries": [{"j": j, "A": sorted(a), "beta": b}
                                for (j, a), b in sorted(
                                    table.entries.items(),
@@ -212,14 +215,13 @@ def cmd_betti(args, out) -> int:
                                                    sorted(kv[0][1])))]}
         if args.verify:
             payload["verified"] = True
-        _emit(payload, cfg, out)
+        _emit(payload, args.fmt, out)
     return 0
 
 
 def cmd_generate(args, out) -> int:
-    cfg = _config(args)
     widths = tuple(int(w) for w in args.widths.split(","))
-    spec = RandomPosetSpec(widths, args.edge_prob, cfg.seed)
+    spec = RandomPosetSpec(widths, args.edge_prob, args.seed)
     g = random_graded_poset(spec)
     text = poset_to_text(g)
     if args.output:
@@ -231,21 +233,20 @@ def cmd_generate(args, out) -> int:
 
 
 def cmd_isomorphic(args, out) -> int:
-    cfg = _config(args)
+    budget = _budgets(args).get("iso_elements", DEFAULT_ISO_BUDGET)
     with open(args.file1, encoding="utf-8") as handle:
         p = parse_poset_text(handle.read())
     with open(args.file2, encoding="utf-8") as handle:
         q = parse_poset_text(handle.read())
-    bijection = are_isomorphic(
-        p, q, budget=cfg.budgets.get("iso_elements", DEFAULT_ISO_BUDGET))
+    bijection = are_isomorphic(p, q, budget=budget)
     payload = {"isomorphic": bijection is not None,
                "bijection": bijection}
-    _emit(payload, cfg, out)
+    _emit(payload, args.fmt, out)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagposet",
         description="Flag ideals of graded posets: classification and "
                     "multigraded Betti numbers.")
@@ -254,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="full classification report")
     p_classify.add_argument("file", nargs="?")
     p_classify.add_argument("--example")
-    _add_common(p_classify)
+    _add_field(p_classify)
+    _add_format(p_classify)
+    _add_budgets(p_classify, *BUDGET_NAMES)
     p_classify.set_defaults(func=cmd_classify)
 
     p_betti = sub.add_parser("betti", help="Betti table or one polynomial")
@@ -267,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument("--verify", action="store_true",
                          help="require the fast path and the table to "
                               "equal Hochster brute force")
-    _add_common(p_betti)
+    _add_field(p_betti)
+    _add_format(p_betti, "csv")
+    _add_budgets(p_betti, "betti_vars")
     p_betti.set_defaults(func=cmd_betti)
 
     p_gen = sub.add_parser("generate", help="seeded random graded poset")
@@ -275,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated layer widths")
     p_gen.add_argument("--edge-prob", type=float, default=0.5)
     p_gen.add_argument("-o", "--output")
-    _add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_generate)
 
     p_iso = sub.add_parser("isomorphic",
@@ -283,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "poset files")
     p_iso.add_argument("file1")
     p_iso.add_argument("file2")
-    _add_common(p_iso)
+    _add_format(p_iso)
+    _add_budgets(p_iso, "iso_elements")
     p_iso.set_defaults(func=cmd_isomorphic)
     return parser
 

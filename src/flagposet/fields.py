@@ -13,16 +13,34 @@ from dataclasses import dataclass
 from .errors import InvalidParameter
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this
+# bound (Sorenson and Webster, 2015); moduli of at least it are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise InvalidParameter(
+            f"modulus {n} too large to certify prime (limit {_MR_LIMIT})")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -72,6 +72,38 @@ def test_cm_rejects_k22_by_labeling():
     v = fp.check_cm_structural(k22)
     assert not v.value
     assert v.witness["condition"] == 5
+    assert v.witness["decompositions_tried"] == 2
+
+
+@pytest.mark.parametrize("layer1_hall, bad_layer", [(True, 1), (False, 2)])
+def test_condition2_witness_names_first_failing_layer(layer1_hall, bad_layer):
+    # equal layer sizes everywhere; a Hall violation (two tops sharing
+    # their only parent) in layer 2, and in layer 1 too when asked
+    layer1 = ([("a1", "b1"), ("a1", "b2"), ("a2", "b3"), ("a3", "b3")]
+              if layer1_hall else [("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
+    layer2 = [("b1", "c1"), ("b1", "c2"), ("b2", "c3"), ("b3", "c3")]
+    g = fp.rank_function(fp.build_poset(
+        ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"],
+        layer1 + layer2))
+    witness = {"condition": 2, "layer": bad_layer}
+    assert fp.check_unmixed_structural(g).witness == witness
+    assert fp.check_cm_structural(g).witness == witness
+
+
+def test_cm_certificate_reorders_chains_of_a_rank3_poset():
+    # the cover a2 < b1 runs from the chain of a2 into the chain of a1,
+    # so the labeling puts the chain of a2 first
+    g = fp.rank_function(fp.build_poset(
+        ["a1", "b1", "c1", "a2", "b2", "c2"],
+        [("a1", "b1"), ("b1", "c1"), ("a2", "b2"), ("b2", "c2"),
+         ("a2", "b1"), ("b2", "c1")]))
+    chains = (("a2", "b2", "c2"), ("a1", "b1", "c1"))
+    assert fp.check_cm_structural(g).certificate.chains == chains
+    # a labeling monotone along covers makes each layer's biadjacency
+    # matrix triangular, so the decomposition it labels is the only one
+    # and the first enumerated: one node of search suffices
+    assert fp.check_cm_structural(g, matching_nodes=1).certificate.chains \
+        == chains
 
 
 def test_cm_budget():

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import flagposet as fp
 from flagposet.cli import main
 
@@ -161,3 +163,80 @@ def test_output_bytes_deterministic():
     _, first = run(["classify", "--example", "3.6"])
     _, second = run(["classify", "--example", "3.6"])
     assert first == second
+
+
+# Flags that look global, each with a valid value, and the subcommands
+# that take them; no subcommand takes --pretty.
+FLAG_VALUES = {
+    "--field": ["gf2"], "--seed": ["1"], "--format": ["text"],
+    "--pretty": [], "--budget-cover-enum": ["50"],
+    "--budget-betti-vars": ["50"], "--budget-matching-nodes": ["50"],
+    "--budget-iso-elements": ["50"], "--budget-chain-pairs": ["50"],
+}
+READS = {
+    "classify": {"--field", "--format", "--budget-cover-enum",
+                 "--budget-betti-vars", "--budget-matching-nodes",
+                 "--budget-iso-elements", "--budget-chain-pairs"},
+    "betti": {"--field", "--format", "--budget-betti-vars"},
+    "generate": {"--seed"},
+    "isomorphic": {"--format", "--budget-iso-elements"},
+}
+
+
+def base_argv(command, tmp_path):
+    if command == "generate":
+        return ["generate", "--widths", "2,2"]
+    if command == "isomorphic":
+        f = tmp_path / "g.poset"
+        f.write_text(fp.poset_to_text(fp.hom_rt_poset(2, 2)))
+        return ["isomorphic", str(f), str(f)]
+    return [command, "--example", "3.4"]
+
+
+def usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READS for flag in FLAG_VALUES
+    if flag not in READS[command]])
+def test_subcommand_rejects_flags_it_does_not_read(command, flag, tmp_path,
+                                                   capsys):
+    argv = base_argv(command, tmp_path) + [flag, *FLAG_VALUES[flag]]
+    assert "unrecognized arguments" in usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", READS)
+def test_subcommand_accepts_the_flags_it_reads(command, tmp_path):
+    argv = base_argv(command, tmp_path)
+    for flag in sorted(READS[command]):
+        argv += [flag, *FLAG_VALUES[flag]]
+    code, text = run(argv)
+    assert code == 0 and text
+
+
+def test_usage_errors_exit_1(capsys):
+    usage_error(["classify", "--example", "3.4", "--bogus"], capsys)
+    usage_error(["classify", "--example", "3.4", "--format", "csv"], capsys)
+    usage_error(["isomorphic", "a", "b", "--format", "csv"], capsys)
+    usage_error(["frobnicate"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0 and "--budget-chain-pairs" in \
+        capsys.readouterr().out
+
+
+def test_csv_rejected_for_one_multidegree():
+    code, text = run(["betti", "--example", "3.4", "--multidegree",
+                      "a1,a2,a3", "--format", "csv"])
+    assert code == 1 and text == ""
+
+
+def test_nonpositive_budget_rejected():
+    code, text = run(["classify", "--example", "3.4",
+                      "--budget-chain-pairs", "0"])
+    assert code == 1 and text == ""
