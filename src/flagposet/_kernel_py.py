@@ -4,8 +4,11 @@ Faces and hyperedges are encoded as integer bitmasks of any width over
 a vertex numbering chosen by the caller.  ``cohomology_dims`` with p = 0
 computes over QQ through the fraction-free rank ``rank_qq``.  A face
 list without the empty face is read as a relative pair: the faces of X
-outside a subcomplex L.  ``tests/test_kernel.py`` checks every function
-against hand-checked values and independent brute-force references.
+outside a subcomplex L.  ``morse_cohomology_dims`` has the same
+contract; it first matches F with F + w for each vertex w in ascending
+index order and eliminates only when the unmatched faces span several
+cardinalities.  ``tests/test_kernel.py`` checks every function against
+hand-checked values and independent brute-force references.
 """
 
 from __future__ import annotations
@@ -100,43 +103,40 @@ def faces_from_nonfaces(nonface_masks: Sequence[int], sub_mask: int) -> list[int
 
     Nonfaces not contained in ``sub_mask`` are irrelevant and skipped.
     A zero nonface makes every subset a nonface (void result).
+
+    The faces are built vertex by vertex in ascending order: each face
+    F found so far lies below the next vertex v, and F | v is a face
+    exactly when no nonface whose top vertex is v lies inside it.  Edge
+    nonfaces are one bitmask of forbidden lower vertices per v, larger
+    ones a short list.  Every new face exceeds every old one, so the
+    list stays sorted.
     """
-    gens = [g for g in nonface_masks if g & ~sub_mask == 0]
-    if any(g == 0 for g in gens):
-        return []
-    verts = []
-    m = sub_mask
-    while m:
-        b = m & -m
-        verts.append(b)
-        m ^= b
-    by_vertex: list[list[int]] = [[] for _ in verts]
-    missing = []
-    for gi, g in enumerate(gens):
-        missing.append(bin(g).count("1"))
-        for i, b in enumerate(verts):
-            if g & b:
-                by_vertex[i].append(gi)
-    out: list[int] = []
-
-    def rec(i: int, cur: int) -> None:
-        if i == len(verts):
-            out.append(cur)
-            return
-        rec(i + 1, cur)
-        ok = True
-        for gi in by_vertex[i]:
-            missing[gi] -= 1
-            if missing[gi] == 0:
-                ok = False
-        if ok:
-            rec(i + 1, cur | verts[i])
-        for gi in by_vertex[i]:
-            missing[gi] += 1
-
-    rec(0, 0)
-    out.sort()
-    return out
+    verts = sub_mask
+    forbidden: dict[int, int] = {}
+    larger: dict[int, list[int]] = {}
+    for g in nonface_masks:
+        if g & ~sub_mask:
+            continue
+        if not g:
+            return []
+        top = 1 << (g.bit_length() - 1)
+        rest = g ^ top
+        if not rest:
+            verts &= ~top
+        elif rest & (rest - 1):
+            larger.setdefault(top, []).append(rest)
+        else:
+            forbidden[top] = forbidden.get(top, 0) | rest
+    faces = [0]
+    while verts:
+        v = verts & -verts
+        verts ^= v
+        forbid = forbidden.get(v, 0)
+        kept = [f for f in faces if not f & forbid]
+        for r in larger.get(v, ()):
+            kept = [f for f in kept if f & r != r]
+        faces += [f | v for f in kept]
+    return faces
 
 
 def faces_from_facets(facet_masks: Sequence[int]) -> list[int]:
@@ -222,4 +222,38 @@ def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
             r = rank_mod_p(rows, p) if p else rank_qq(rows)
         dims.append(len(cur) - r - prev_rank)
         prev_rank = r
+    return dims
+
+
+def morse_cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
+    """``cohomology_dims(face_masks, p)``, read off an element matching
+    when it settles the answer.
+
+    For each vertex w in ascending index order, every listed face F
+    without w is matched with F | w when both are still unmatched.  The
+    matching is acyclic, so the unmatched (critical) faces carry a
+    Morse complex with the listed faces' cohomology over every field.
+    No critical face means zero cohomology; critical faces of a single
+    cardinality c have no differential between them, so H^(c-1) has
+    their count as its dimension.  Only critical faces of several
+    cardinalities fall back to the elimination on the original list.
+    """
+    if not face_masks:
+        return []
+    unmatched = set(face_masks)
+    verts = 0
+    for f in face_masks:
+        verts |= f
+    while verts and unmatched:
+        w = verts & -verts
+        verts ^= w
+        lower = [f for f in unmatched if not f & w and f | w in unmatched]
+        unmatched.difference_update(lower)
+        unmatched.difference_update([f | w for f in lower])
+    sizes = set(map(int.bit_count, unmatched))
+    if len(sizes) > 1:
+        return cohomology_dims(face_masks, p)
+    dims = [0] * (max(map(int.bit_count, face_masks)) + 1)
+    if sizes:
+        dims[sizes.pop()] = len(unmatched)
     return dims

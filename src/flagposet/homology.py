@@ -13,24 +13,28 @@ Conventions, pinned once and validated by the test suite:
   resolution).
 
 Betti numbers come three ways, all enumerating faces from nonface
-bitmasks inside a vertex mask, and every field goes through
-``kernel.cohomology_dims``: Gaussian elimination over GF(p),
-fraction-free elimination over QQ.
+bitmasks inside a vertex mask, and every field goes through one
+elimination, ``kernel.cohomology_dims``: Gaussian elimination over
+GF(p), fraction-free elimination over QQ.
 
 * Tables (``betti_multidegree``, ``full_betti_table`` and the oracles
-  built on them) use star excision.  For a vertex v of the restriction
-  D_A its star is a cone, so H~*(D_A) = H*(del v, lk v).  The cochains
-  of that pair are the faces F of D_A inside A - v with F + v not a
-  face, i.e. F contains t_k = g_k - v for a generator g_k of I with
-  v in g_k inside A; the coboundary is the usual one with the faces
-  of lk v counting as zero.  v is the vertex of A in the fewest
-  generators inside A, which keeps the pair small; a vertex in none
-  makes D_A a cone and the multidegree zero.
+  built on them) use star excision, the first round of an element
+  matching.  For a vertex v of the restriction D_A its star is a cone,
+  so H~*(D_A) = H*(del v, lk v).  The cochains of that pair are the
+  faces F of D_A inside A - v with F + v not a face, i.e. F contains
+  t_k = g_k - v for a generator g_k of I with v in g_k inside A; the
+  coboundary is the usual one with the faces of lk v counting as
+  zero.  v is the vertex of A in the fewest generators inside A,
+  which keeps the pair small; a vertex in none makes D_A a cone and
+  the multidegree zero.  ``kernel.morse_cohomology_dims`` then matches
+  the pair's faces over every other vertex in turn and eliminates only
+  when the unmatched faces span several degrees; on example 4.9 that
+  never happens.
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
-  stay the literal Hochster computation on the whole restriction.
-  They are the reference the excised tables and the layer product
-  are checked against, so a fault in either cannot hide behind a
-  shared shortcut.
+  stay the literal Hochster computation on the whole restriction, with
+  plain ``kernel.cohomology_dims``.  They are the reference the excised
+  tables and the layer product are checked against, so a fault in
+  either cannot hide behind a shared shortcut.
 * ``betti_polynomial_fast`` is the layer product over cover edges.
 """
 
@@ -132,9 +136,9 @@ def _excised_cohomology_poly(gen_masks: Sequence[int], mask: int,
     faces: list[int] = []
     for k, t in enumerate(links):
         nonfaces = [n & ~t for n in others] + [s & ~t for s in links[:k]]
-        faces.extend(t | x for x in
-                     kernel.faces_from_nonfaces(nonfaces, rest & ~t))
-    return poly_from_dims(kernel.cohomology_dims(faces, f.p or 0))
+        faces += [t | x for x in
+                  kernel.faces_from_nonfaces(nonfaces, rest & ~t)]
+    return poly_from_dims(kernel.morse_cohomology_dims(faces, f.p or 0))
 
 
 def _betti_vector(poly: LaurentPoly, n: int) -> list[int]:
@@ -223,23 +227,34 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
-    """All unions of generator supports (multidegrees that can carry a
-    nonzero Betti number; anything else restricts to a cone)."""
-    gens = [frozenset(g) for g in ideal.generators]
-    seen: set[frozenset] = set(gens)
+def _lcm_masks(gen_masks: Sequence[int]) -> list[int]:
+    """All unions of the generator masks, ordered by size and then by
+    their sorted bit indices."""
+    seen = set(gen_masks)
     frontier = list(seen)
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
+            for g in gen_masks:
                 u = a | g
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
+    return sorted(seen, key=lambda m: (m.bit_count(), _bit_indices(m)))
+
+
+def _bit_indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
+    """All unions of generator supports (multidegrees that can carry a
+    nonzero Betti number; anything else restricts to a cone)."""
     index = {v: i for i, v in enumerate(ideal.variables)}
-    return sorted(seen, key=lambda a: (len(a), sorted(index[v] for v in a)))
+    names = ideal.variables
+    return [frozenset(names[i] for i in _bit_indices(m))
+            for m in _lcm_masks(_gen_masks(ideal, index))]
 
 
 def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
@@ -254,14 +269,17 @@ def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     if len(ideal.variables) > budget:
         raise BudgetExceeded(f"Betti table limited to {budget} variables")
     index = {v: i for i, v in enumerate(ideal.variables)}
+    names = ideal.variables
     gens = _gen_masks(ideal, index)
     entries: dict[tuple[int, frozenset[str]], int] = {}
-    for a in lcm_lattice(ideal):
-        mask = sum(1 << index[v] for v in a)
-        vec = _betti_vector(_excised_cohomology_poly(gens, mask, f), len(a))
-        for j, b in enumerate(vec):
-            if b:
-                entries[(j, a)] = b
+    for mask in _lcm_masks(gens):
+        vec = _betti_vector(_excised_cohomology_poly(gens, mask, f),
+                            mask.bit_count())
+        if any(vec):
+            a = frozenset(names[i] for i in _bit_indices(mask))
+            for j, b in enumerate(vec):
+                if b:
+                    entries[(j, a)] = b
     return BettiTable(ideal.variables, entries, f)
 
 

@@ -143,6 +143,10 @@ def test_full_betti_table():
                              [frozenset({a, b}) for a in ("x1", "x2")
                               for b in ("y1", "y2")])
     assert fp.full_betti_table(k22).total() == {0: 4, 1: 4, 2: 1}
+    # the lcm lattice comes by size, then by sorted variable index
+    assert fp.lcm_lattice(k22) == [frozenset(a.split()) for a in (
+        "x1 y1", "x1 y2", "x2 y1", "x2 y2", "x1 x2 y1", "x1 x2 y2",
+        "x1 y1 y2", "x2 y1 y2", "x1 x2 y1 y2")]
     # beta_0 rows are exactly the generator supports
     flag = fp.flag_ideal(fp.example_3_4())
     table = fp.full_betti_table(flag)
@@ -219,19 +223,46 @@ def test_excised_route_with_singleton_generators(f):
     assert checked >= 5
 
 
-def test_excised_route_sees_torsion():
-    # the Stanley-Reisner ideal of the six-vertex projective plane: its
-    # minimal nonfaces are the ten triangles that are not facets
+def _rp2_ideal():
+    """The Stanley-Reisner ideal of the six-vertex projective plane: its
+    minimal nonfaces are the ten triangles that are not facets."""
     facets = {frozenset(x) for x in RP2_FACETS}
-    ideal = fp.SquarefreeIdeal("123456", [
+    return fp.SquarefreeIdeal("123456", [
         frozenset(c) for c in itertools.combinations("123456", 3)
         if frozenset(c) not in facets])
+
+
+def test_excised_route_sees_torsion():
+    ideal = _rp2_ideal()
     whole = frozenset("123456")
     for f in TABLE_FIELDS:
         _assert_excised_route(ideal, fp.lcm_lattice(ideal), f)
     assert fp.betti_multidegree(ideal, whole, GF2) == [0, 0, 1, 1, 0, 0]
     assert fp.betti_multidegree(ideal, whole, QQ) == [0] * 6
     assert fp.betti_multidegree(ideal, whole, GF(3)) == [0] * 6
+
+
+def test_tables_eliminate_only_past_the_matching(monkeypatch):
+    # the matching's fallback calls _kernel_py's own binding of
+    # cohomology_dims, so both bindings are counted
+    calls = []
+    plain = fp.kernel.cohomology_dims
+
+    def counting(face_masks, p):
+        calls.append(len(face_masks))
+        return plain(face_masks, p)
+
+    monkeypatch.setattr(fp.kernel, "cohomology_dims", counting)
+    monkeypatch.setattr(fp._kernel_py, "cohomology_dims", counting)
+    fp.full_betti_table(fp.flag_ideal(fp.example_4_9()))
+    assert calls == []
+    ideal = _rp2_ideal()
+    whole = frozenset("123456")
+    expected = {GF2: [0, 0, 1, 1, 0, 0], QQ: [0] * 6, GF(3): [0] * 6}
+    for f, vec in expected.items():
+        calls.clear()
+        assert fp.betti_multidegree(ideal, whole, f) == vec
+        assert calls, f
 
 
 def test_oracle_verdicts_share_one_table(monkeypatch):

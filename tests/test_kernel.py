@@ -168,6 +168,55 @@ def test_faces_from_facets_matches_downward_closure():
         assert _kernel_py.faces_from_facets(facets) == expected, facets
 
 
+# the six-vertex projective plane: torsion only, so QQ sees no
+# cohomology while GF(2) does
+RP2_FACETS = [0b010011, 0b100011, 0b001101, 0b100101, 0b011001, 0b001110,
+              0b010110, 0b101010, 0b110100, 0b111000]
+
+
+def _moore_space_faces():
+    """A mod-3 Moore space: the circle 0, 1, 2, a ring r_0..r_8 wrapped
+    three times around it, and the cone from 12 over the ring; H_1 is
+    Z/3, so only GF(3) sees cohomology."""
+    ring = [3 + i % 9 for i in range(10)]
+    facets = []
+    for i in range(9):
+        a, b = i % 3, (i + 1) % 3
+        facets += [(a, b, ring[i]), (b, ring[i], ring[i + 1]),
+                   (ring[i], ring[i + 1], 12)]
+    return _kernel_py.faces_from_facets(
+        [sum(1 << v for v in f) for f in facets])
+
+
+def _random_complexes():
+    """Seeded random complexes on at most 6 vertices, by nonfaces."""
+    rng = random.Random(5)
+    for _ in range(150):
+        nverts = rng.randrange(1, 7)
+        full = (1 << nverts) - 1
+        gens = [rng.getrandbits(nverts) & full or 1
+                for _ in range(rng.randrange(0, 5))]
+        yield gens, _kernel_py.faces_from_nonfaces(gens, full)
+
+
+def _excision_pairs():
+    """Seeded random complexes on at most 7 vertices, each with every
+    star-excision pair (del v, lk v) of it: the faces avoiding v whose
+    union with v is not a face."""
+    rng = random.Random(23)
+    for _ in range(120):
+        nverts = rng.randrange(1, 8)
+        full = (1 << nverts) - 1
+        gens = [rng.getrandbits(nverts) & full or 1
+                for _ in range(rng.randrange(0, 6))]
+        faces = _kernel_py.faces_from_nonfaces(gens, full)
+        listed = set(faces)
+        pairs = [(k, [f for f in faces if not f & 1 << k
+                      and f | 1 << k not in listed])
+                 for k in range(nverts) if 1 << k in listed]
+        yield gens, faces, pairs
+
+
 def test_cohomology_dims_known_values():
     assert _kernel_py.cohomology_dims([], 2) == []
     assert _kernel_py.cohomology_dims([0], 2) == [1]
@@ -181,17 +230,7 @@ def test_cohomology_dims_known_values():
     # edge 2-4 is left, and its boundary points lie in the link
     for p in (2, 32003):
         assert _kernel_py.cohomology_dims([0b110], p) == [0, 0, 1]
-    # a mod-3 Moore space: the circle 0, 1, 2, a ring r_0..r_8 wrapped
-    # three times around it, and the cone from 12 over the ring; H_1 is
-    # Z/3, so only GF(3) sees cohomology
-    ring = [3 + i % 9 for i in range(10)]
-    facets = []
-    for i in range(9):
-        a, b = i % 3, (i + 1) % 3
-        facets += [(a, b, ring[i]), (b, ring[i], ring[i + 1]),
-                   (ring[i], ring[i + 1], 12)]
-    faces = _kernel_py.faces_from_facets(
-        [sum(1 << v for v in f) for f in facets])
+    faces = _moore_space_faces()
     assert len(faces) == 80
     for p in (3, 2, 5, 7, 32003, 0):
         expected = [0, 0, 1, 1] if p == 3 else [0, 0, 0, 0]
@@ -202,23 +241,13 @@ def test_cohomology_dims_known_values():
 @pytest.mark.parametrize("p", [2, 3, 32003, 0],
                          ids=["GF(2)", "GF(3)", "GF(32003)", "QQ"])
 def test_cohomology_dims_matches_reference_elimination(p):
-    rng = random.Random(5)
-    for _ in range(150):
-        nverts = rng.randrange(1, 7)
-        full = (1 << nverts) - 1
-        gens = [rng.getrandbits(nverts) & full or 1
-                for _ in range(rng.randrange(0, 5))]
-        faces = _kernel_py.faces_from_nonfaces(gens, full)
+    for gens, faces in _random_complexes():
         assert _kernel_py.cohomology_dims(faces, p) \
             == _cohomology_dims_reference(faces, p), gens
 
 
 def test_cohomology_dims_over_qq_matches_fraction_elimination():
-    # the six-vertex projective plane: torsion only, so QQ sees no
-    # cohomology while GF(2) does
-    rp2 = [0b010011, 0b100011, 0b001101, 0b100101, 0b011001, 0b001110,
-           0b010110, 0b101010, 0b110100, 0b111000]
-    faces = _kernel_py.faces_from_facets(rp2)
+    faces = _kernel_py.faces_from_facets(RP2_FACETS)
     assert _kernel_py.cohomology_dims(faces, 0) \
         == _cohomology_dims_reference(faces) == [0, 0, 0, 0]
     assert _kernel_py.cohomology_dims(faces, 2) == [0, 0, 1, 1]
@@ -231,25 +260,43 @@ def _trimmed(dims):
 
 
 def test_cohomology_dims_of_star_excision_pairs():
-    # H~*(X) = H*(del v, lk v) for every vertex v of X: the pair's faces
-    # are those avoiding v whose union with v is not a face
-    rng = random.Random(23)
+    # H~*(X) = H*(del v, lk v) for every vertex v of X
     pairs = 0
-    for _ in range(120):
-        nverts = rng.randrange(1, 8)
-        full = (1 << nverts) - 1
-        gens = [rng.getrandbits(nverts) & full or 1
-                for _ in range(rng.randrange(0, 6))]
-        faces = _kernel_py.faces_from_nonfaces(gens, full)
-        listed = set(faces)
+    for gens, faces, excised in _excision_pairs():
         for p in (2, 3, 0):
             whole = _trimmed(_kernel_py.cohomology_dims(faces, p))
-            for k in range(nverts):
-                v = 1 << k
-                if v not in listed:
-                    continue
-                pair = [f for f in faces if not f & v and f | v not in listed]
+            for k, pair in excised:
                 assert _trimmed(_kernel_py.cohomology_dims(pair, p)) \
                     == whole, (gens, k, p)
                 pairs += 1
     assert pairs > 500
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 0],
+                         ids=["GF(2)", "GF(3)", "GF(32003)", "QQ"])
+def test_morse_cohomology_dims_matches_reference(p, monkeypatch):
+    eliminated = []
+    plain = _kernel_py.cohomology_dims
+
+    def counting(face_masks, q):
+        eliminated.append(face_masks)
+        return plain(face_masks, q)
+
+    monkeypatch.setattr(_kernel_py, "cohomology_dims", counting)
+
+    def check(faces):
+        eliminated.clear()
+        assert _kernel_py.morse_cohomology_dims(faces, p) \
+            == _cohomology_dims_reference(faces, p), (faces, p)
+        return bool(eliminated)
+
+    random_lists = [faces for _, faces in _random_complexes()]
+    random_lists += [pair for _, _, excised in _excision_pairs()
+                     for _, pair in excised]
+    fell_back = sum(map(check, random_lists))
+    assert len(random_lists) > 500
+    assert fell_back < len(random_lists) // 10, fell_back
+    # torsion puts cohomology over GF(2) or GF(3) in two degrees, so the
+    # critical faces of any matching span two cardinalities
+    assert check(_kernel_py.faces_from_facets(RP2_FACETS))
+    assert check(_moore_space_faces())
