@@ -11,8 +11,13 @@ monotone along covers decides Cohen-Macaulayness.
 The recombination conditions are decomposition-independent once the
 matchings exist (if they hold for one decomposition the poset is
 unmixed, and an unmixed poset satisfies them for every decomposition),
-so they are checked once; only the labeling condition is searched over
-decompositions.
+so they are checked once.  The labeling condition needs no search
+either: a labeling monotone along covers makes every layer's
+biadjacency matrix triangular in label order, with a nonzero diagonal,
+so the decomposition it labels is the poset's only one.  The first
+decomposition found therefore has a monotone labeling exactly when the
+poset is Cohen-Macaulay, and its chains also give the bi-Cohen-Macaulay
+isomorphism onto the two-chain grid.
 
 Everything here is pure and deterministic; verdicts carry either a
 certificate (when true) or a concrete witness (when false).
@@ -21,17 +26,13 @@ certificate (when true) or a concrete witness (when false).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import BudgetExceeded, InvalidCertificate
 from .posets import (
-    DEFAULT_ISO_BUDGET,
     BipartiteLayer,
     GradedPoset,
     Poset,
-    are_isomorphic,
     connected_components,
-    hom_rt_poset,
     layer_pair,
     rank_function,
     rank_selection,
@@ -39,7 +40,6 @@ from .posets import (
 )
 
 DEFAULT_CHAIN_PAIRS = 200000
-DEFAULT_MATCHING_NODES = 20000
 
 
 @dataclass(frozen=True)
@@ -97,32 +97,26 @@ class Verdict:
 #
 # A decomposition is a map ``up`` from every non-maximal element to one of
 # its children that no two elements share; following it from each rank-1
-# element gives the chains.  Parents are stored in element order, so every
-# search below tries neighbours in a fixed order and its results are
+# element gives the chains.  Parents are stored in element order, so the
+# matching below tries neighbours in a fixed order and its result is
 # deterministic.
 
-def _matchings(tops, neighbors) -> Iterator[tuple[str, ...]]:
-    """Every way to give each of ``tops`` a distinct one of its
-    ``neighbors``, as the chosen neighbours in top order; tops are
-    assigned in order and neighbours tried in order."""
-    adj = [neighbors(t) for t in tops]
-    used: set[str] = set()
-    acc: list[str] = []
+def _kuhn(tops, neighbors, match: dict[str, str]) -> bool:
+    """Kuhn's augmenting paths: give each of ``tops`` a distinct one of
+    its ``neighbors``, recorded in ``match`` as neighbour -> top on top
+    of the pairs already there.  False once a top cannot be placed."""
 
-    def rec(k: int) -> Iterator[tuple[str, ...]]:
-        if k == len(adj):
-            yield tuple(acc)
-            return
-        for b in adj[k]:
-            if b in used:
+    def augment(t: str, visited: set[str]) -> bool:
+        for b in neighbors(t):
+            if b in visited:
                 continue
-            used.add(b)
-            acc.append(b)
-            yield from rec(k + 1)
-            acc.pop()
-            used.discard(b)
+            visited.add(b)
+            if b not in match or augment(match[b], visited):
+                match[b] = t
+                return True
+        return False
 
-    return rec(0)
+    return all(augment(t, set()) for t in tops)
 
 
 def _assemble_chains(g: GradedPoset,
@@ -138,36 +132,15 @@ def _assemble_chains(g: GradedPoset,
 
 def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | None, int]:
     """One chain decomposition, or (None, offending layer index): layer
-    by layer, Kuhn's augmenting paths match every rank-(i+1) element to
-    a distinct parent, which needs as many of them as non-maximal
-    rank-i elements."""
+    by layer, every rank-(i+1) element is matched to a distinct parent,
+    which needs as many of them as non-maximal rank-i elements."""
     up: dict[str, str] = {}
-
-    def augment(t: str, visited: set[str]) -> bool:
-        for b in g.poset.parents(t):
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in up or augment(up[b], visited):
-                up[b] = t
-                return True
-        return False
-
     for i in range(1, g.rbar()):
         tops = g.layer(i + 1)
         if (len(g.trimmed_layer(i)) != len(tops)
-                or not all(augment(t, set()) for t in tops)):
+                or not _kuhn(tops, g.poset.parents, up)):
             return None, i
     return _assemble_chains(g, up), 0
-
-
-def _all_decompositions(g: GradedPoset) -> Iterator[tuple[tuple[str, ...], ...]]:
-    """Every chain decomposition, the last layer's matching varying
-    fastest; only meaningful once ``_first_decomposition`` found one,
-    which guarantees that each layer's sides have equal size."""
-    tops = [e for i in range(2, g.rbar() + 1) for e in g.layer(i)]
-    for bottoms in _matchings(tops, g.poset.parents):
-        yield _assemble_chains(g, dict(zip(bottoms, tops)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +307,11 @@ def _label_order(g: GradedPoset, chains) -> list[int] | None:
 
 
 def check_cm_structural(g: GradedPoset,
-                        matching_nodes: int = DEFAULT_MATCHING_NODES,
                         chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> Verdict:
     """Cohen-Macaulayness: equal counts of minimal and maximal elements,
     a chain decomposition, the recombination conditions, and a chain
-    labeling that is monotone along covers for some decomposition."""
+    labeling of that decomposition monotone along covers (a poset with
+    such a labeling has no other decomposition)."""
     if not g.elements:
         return Verdict(True, certificate=ChainDecomposition(g, ()))
     p1 = len(g.layer(1))
@@ -349,20 +322,13 @@ def check_cm_structural(g: GradedPoset,
     chains, witness = _chain_conditions(g, chain_pairs)
     if chains is None:
         return Verdict(False, witness=witness)
-    tried = 0
-    for candidate in _all_decompositions(g):
-        tried += 1
-        if tried > matching_nodes:
-            raise BudgetExceeded(
-                f"decomposition search exceeded {matching_nodes} nodes")
-        order = _label_order(g, candidate)
-        if order is not None:
-            ordered = tuple(candidate[u] for u in order)
-            return Verdict(True, certificate=ChainDecomposition(g, ordered))
-    return Verdict(False, witness={
-        "condition": 5,
-        "decompositions_tried": tried,
-        "note": "every chain labeling has a cover running downward"})
+    order = _label_order(g, chains)
+    if order is None:
+        return Verdict(False, witness={
+            "condition": 5,
+            "note": "every chain labeling has a cover running downward"})
+    ordered = tuple(chains[u] for u in order)
+    return Verdict(True, certificate=ChainDecomposition(g, ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +404,21 @@ def has_linear_resolution_structural(g: GradedPoset) -> Verdict:
     return Verdict(True, certificate={"layers": layers})
 
 
-def is_bi_cm(g: GradedPoset,
-             iso_budget: int = DEFAULT_ISO_BUDGET,
-             matching_nodes: int = DEFAULT_MATCHING_NODES,
+def is_bi_cm(g: GradedPoset, iso_budget: int | None = None,
              chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> Verdict:
-    """Cohen-Macaulay with a linear resolution; when true the poset is
-    matched against the two-chain letterplace grid of its dimensions and
-    the isomorphism is part of the certificate."""
-    cm = check_cm_structural(g, matching_nodes, chain_pairs)
+    """Cohen-Macaulay with a linear resolution; when true the certificate
+    holds the isomorphism onto the two-chain letterplace grid of the
+    poset's dimensions, read off the Cohen-Macaulay chains.
+
+    ``iso_budget`` is ignored: no isomorphism is searched for.  It stays
+    only while the benchmark's structural workload still passes it."""
+    cm = check_cm_structural(g, chain_pairs)
     lr = has_linear_resolution_structural(g) if cm.value else None
-    return _bi_cm_verdict(g, cm, lr, iso_budget)
+    return _bi_cm_verdict(g, cm, lr)
 
 
-def _bi_cm_verdict(g: GradedPoset, cm: Verdict, lr: Verdict | None,
-                   iso_budget: int) -> Verdict:
+def _bi_cm_verdict(g: GradedPoset, cm: Verdict,
+                   lr: Verdict | None) -> Verdict:
     """``is_bi_cm`` from the CM and linear-resolution verdicts; ``lr``
     is read only when ``cm`` holds."""
     if not cm.value:
@@ -461,41 +428,63 @@ def _bi_cm_verdict(g: GradedPoset, cm: Verdict, lr: Verdict | None,
     if not g.elements:
         return Verdict(True, certificate={"hom_parameters": None,
                                           "isomorphism": {}})
-    r, t = g.rbar(), len(g.layer(1))
-    iso = are_isomorphic(g.poset, hom_rt_poset(r, t).poset, budget=iso_budget)
-    return Verdict(True, certificate={"hom_parameters": (r, t),
-                                      "isomorphism": iso,
-                                      "chains": cm.certificate.chains,
+    chains = cm.certificate.chains
+    return Verdict(True, certificate={"hom_parameters": (g.rbar(),
+                                                         len(chains)),
+                                      "isomorphism": _grid_map(g, chains),
+                                      "chains": chains,
                                       "staircases": lr.certificate})
+
+
+def _grid_map(g: GradedPoset, chains) -> dict[str, str]:
+    """The rank-i element of the u-th chain as ``a{i}_{u}``, the names of
+    ``hom_rt_poset(r, t)``; raises ``InvalidCertificate`` unless that is
+    an isomorphism.  Chains of r elements each make the map a bijection;
+    every cover, which raises the rank by 1, then lands on a grid cover
+    when u does not decrease along it, and equal cover counts make the
+    covers correspond."""
+    r, t = g.rbar(), len(chains)
+    label = {e: u for u, c in enumerate(chains, 1) for e in c}
+    if (any(len(c) != r for c in chains)
+            or any(label[p] > label[q] for p, q in g.covers)
+            or len(g.covers) != (r - 1) * t * (t + 1) // 2):
+        raise InvalidCertificate(f"the chains do not map onto the "
+                                 f"{r}x{t} grid")
+    return {e: f"a{g.rank[e]}_{label[e]}" for e in g.elements}
 
 
 def herzog_hibi_bipartite_cm(layer: BipartiteLayer) -> Verdict:
     """Cohen-Macaulay bipartite graphs: equal sides and a labeling with
     a perfect matching whose induced relation (i <= j iff edge a_i b_j)
-    is a partial order."""
+    is a partial order.  Such a labeling makes the biadjacency matrix
+    triangular with a nonzero diagonal, so its matching is the layer's
+    only perfect matching, and one Kuhn matching decides."""
     if len(layer.bottom) != len(layer.top):
         return Verdict(False, witness={"sizes": (len(layer.bottom),
                                                  len(layer.top))})
     if not layer.bottom:
         return Verdict(True, certificate={"pairs": []})
-    for bottoms in _matchings(layer.top, layer.neighbors_top):
-        pairs = list(zip(bottoms, layer.top))
-        r = range(len(pairs))
-        rel = [[(pairs[i][0], pairs[j][1]) in layer.edges for j in r]
-               for i in r]
-        if any(i != j and rel[i][j] and rel[j][i] for i in r for j in r):
-            continue
-        if any(rel[i][j] and rel[j][k] and not rel[i][k]
-               for i in r for j in r for k in r):
-            continue
-        # an antisymmetric, transitive relation has no cycle, so every
-        # pair is placed
-        order = topological_order([[j for j in r if j != i and rel[i][j]]
-                                   for i in r])
-        return Verdict(True, certificate={
-            "pairs": [list(pairs[u]) for u in order]})
-    return Verdict(False, witness={
+    no_order = Verdict(False, witness={
         "reason": "no perfect matching induces a partial order"})
+    match: dict[str, str] = {}
+    if not _kuhn(layer.top, layer.neighbors_top, match):
+        return no_order
+    bottom_of = {t: b for b, t in match.items()}
+    pairs = [(bottom_of[t], t) for t in layer.top]
+    r = range(len(pairs))
+    rel = [[(pairs[i][0], pairs[j][1]) in layer.edges for j in r]
+           for i in r]
+    if any(i != j and rel[i][j] and rel[j][i] for i in r for j in r):
+        return no_order
+    if any(rel[i][j] and rel[j][k] and not rel[i][k]
+           for i in r for j in r for k in r):
+        return no_order
+    # an antisymmetric, transitive relation has no cycle, so every pair
+    # is placed
+    order = topological_order([[j for j in r if j != i and rel[i][j]]
+                               for i in r])
+    return Verdict(True, certificate={
+        "pairs": [list(pairs[u]) for u in order]})
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +526,6 @@ def classification_report(p: Poset | GradedPoset, f=None,
     b = {
         "cover_enum": DEFAULT_COVER_BUDGET,
         "betti_vars": DEFAULT_BETTI_VARS,
-        "matching_nodes": DEFAULT_MATCHING_NODES,
-        "iso_elements": DEFAULT_ISO_BUDGET,
         "chain_pairs": DEFAULT_CHAIN_PAIRS,
     }
     if budgets:
@@ -565,9 +552,9 @@ def classification_report(p: Poset | GradedPoset, f=None,
         return report
     ideal = flag_ideal(g)
     unmixed_s = check_unmixed_structural(g, b["chain_pairs"])
-    cm_s = check_cm_structural(g, b["matching_nodes"], b["chain_pairs"])
+    cm_s = check_cm_structural(g, b["chain_pairs"])
     lr_s = has_linear_resolution_structural(g)
-    bi = _bi_cm_verdict(g, cm_s, lr_s, b["iso_elements"])
+    bi = _bi_cm_verdict(g, cm_s, lr_s)
     # both oracles are exponential, so both size budgets fire before
     # either starts, the transversal one (as in minimal_transversals)
     # first and the Betti one at the start of oracle_verdicts

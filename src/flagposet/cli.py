@@ -45,10 +45,6 @@ from .posets import (
     rank_function,
 )
 
-BUDGET_NAMES = ("cover_enum", "betti_vars", "matching_nodes",
-                "iso_elements", "chain_pairs")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 like every other input error; argparse's own
     code 2 is the budget-exhaustion code here."""
@@ -77,9 +73,9 @@ def _add_budgets(parser: argparse.ArgumentParser, *names: str) -> None:
 def _budgets(args) -> dict:
     """The --budget-* values given; each consumer has its defaults."""
     out = {}
-    for name in BUDGET_NAMES:
-        value = getattr(args, f"budget_{name}", None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key.startswith("budget_") and value is not None:
+            name = key[len("budget_"):]
             if value < 1:
                 raise InvalidParameter(f"budget {name} must be positive")
             out[name] = value
@@ -257,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--example")
     _add_field(p_classify)
     _add_format(p_classify)
-    _add_budgets(p_classify, *BUDGET_NAMES)
+    _add_budgets(p_classify, "cover_enum", "betti_vars", "chain_pairs")
     p_classify.set_defaults(func=cmd_classify)
 
     p_betti = sub.add_parser("betti", help="Betti table or one polynomial")

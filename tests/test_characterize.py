@@ -5,7 +5,7 @@ import pytest
 import flagposet as fp
 from flagposet.errors import BudgetExceeded, InvalidCertificate
 
-from conftest import corpus_poset, sweep_layer
+from conftest import corpus_poset, sweep_layer, sweep_poset
 
 
 def test_unmixed_structural_on_named_examples():
@@ -71,8 +71,9 @@ def test_cm_rejects_k22_by_labeling():
         [(p, q) for p in ("p1", "p2") for q in ("q1", "q2")]))
     v = fp.check_cm_structural(k22)
     assert not v.value
-    assert v.witness["condition"] == 5
-    assert v.witness["decompositions_tried"] == 2
+    assert v.witness == {
+        "condition": 5,
+        "note": "every chain labeling has a cover running downward"}
 
 
 @pytest.mark.parametrize("layer1_hall, bad_layer", [(True, 1), (False, 2)])
@@ -99,22 +100,68 @@ def test_cm_certificate_reorders_chains_of_a_rank3_poset():
          ("a2", "b1"), ("b2", "c1")]))
     chains = (("a2", "b2", "c2"), ("a1", "b1", "c1"))
     assert fp.check_cm_structural(g).certificate.chains == chains
-    # a labeling monotone along covers makes each layer's biadjacency
-    # matrix triangular, so the decomposition it labels is the only one
-    # and the first enumerated: one node of search suffices
-    assert fp.check_cm_structural(g, matching_nodes=1).certificate.chains \
-        == chains
 
 
-def test_cm_budget():
-    g = fp.hom_rt_poset(2, 2)
-    with pytest.raises(BudgetExceeded):
-        # force exhaustion before the (unique) decomposition is accepted
-        fp.check_cm_structural(fp.rank_function(fp.bipartite_poset(
-            ("p1", "p2"), ("q1", "q2"),
-            [(p, q) for p in ("p1", "p2") for q in ("q1", "q2")])),
-            matching_nodes=1)
-    assert fp.check_cm_structural(g, matching_nodes=1).value
+def _matchings(tops, neighbors):
+    """Reference enumerator: every way to give each of ``tops`` a
+    distinct one of its ``neighbors``, as the chosen neighbours in top
+    order; tops are assigned in order and neighbours tried in order."""
+    adj = [neighbors(t) for t in tops]
+    used = set()
+    acc = []
+
+    def rec(k):
+        if k == len(adj):
+            yield tuple(acc)
+            return
+        for b in adj[k]:
+            if b in used:
+                continue
+            used.add(b)
+            acc.append(b)
+            yield from rec(k + 1)
+            acc.pop()
+            used.discard(b)
+
+    return rec(0)
+
+
+def _all_decompositions(g):
+    """Reference enumerator: every chain decomposition of a poset whose
+    layers have sides of equal size, each as the set of its chains."""
+    tops = [e for i in range(2, g.rbar() + 1) for e in g.layer(i)]
+    for bottoms in _matchings(tops, g.poset.parents):
+        up = dict(zip(bottoms, tops))
+        chains = []
+        for e in g.layer(1):
+            c = [e]
+            while c[-1] in up:
+                c.append(up[c[-1]])
+            chains.append(tuple(c))
+        yield frozenset(chains)
+
+
+def test_cm_posets_and_layers_have_one_decomposition(corpus_b):
+    # a labeling monotone along covers makes every layer's biadjacency
+    # matrix triangular with a nonzero diagonal, so a CM poset has one
+    # chain decomposition and a Herzog-Hibi CM layer one perfect matching
+    pool = [sweep_poset(bits, iso) for iso in (False, True)
+            for bits in range(512)] + corpus_b
+    cm_count = 0
+    for g in pool:
+        v = fp.check_cm_structural(g)
+        if v.value and g.elements:
+            cm_count += 1
+            assert list(_all_decompositions(g)) \
+                == [frozenset(v.certificate.chains)]
+    assert cm_count == 376
+    hh_count = 0
+    for bits in range(512):
+        layer = sweep_layer(bits)
+        if layer.bottom and fp.herzog_hibi_bipartite_cm(layer).value:
+            hh_count += 1
+            assert len(list(_matchings(layer.top, layer.neighbors_top))) == 1
+    assert hh_count == 177
 
 
 def test_chain_decomposition_validation():
@@ -186,8 +233,40 @@ def test_bi_cm():
     assert not fp.is_bi_cm(fp.example_4_9()).value
     assert fp.is_bi_cm(fp.chain(4)).value
     assert fp.is_bi_cm(fp.antichain(4)).value
-    with pytest.raises(BudgetExceeded):
-        fp.is_bi_cm(fp.hom_rt_poset(5, 5), iso_budget=24)
+
+
+def test_bi_cm_isomorphism_is_read_off_the_chains(corpus_b):
+    pool = [fp.hom_rt_poset(r, t) for r in range(1, 25)
+            for t in range(1, 25) if r * t <= 24]
+    pool += [sweep_poset(bits, iso) for iso in (False, True)
+             for bits in range(512)] + corpus_b
+    checked = 0
+    for g in pool:
+        v = fp.is_bi_cm(g)
+        if v.value and g.elements:
+            r, t = v.certificate["hom_parameters"]
+            assert v.certificate["isomorphism"] \
+                == fp.are_isomorphic(g, fp.hom_rt_poset(r, t))
+            checked += 1
+    assert checked == 213
+    # beyond the isomorphism search's 24-element budget
+    v = fp.is_bi_cm(fp.hom_rt_poset(7, 7))
+    assert v.value and v.certificate["hom_parameters"] == (7, 7)
+
+
+def test_bi_cm_checks_the_grid_map(monkeypatch):
+    # the map read off the CM chains is checked, not trusted: with the
+    # linear-resolution verdict forced, an impure CM poset (4.9) and two
+    # disjoint 2-chains (2 covers, the 2x2 grid has 3) have no grid map
+    from flagposet import characterize
+    monkeypatch.setattr(characterize, "has_linear_resolution_structural",
+                        lambda g: fp.Verdict(True, certificate={}))
+    two_chains = fp.rank_function(fp.build_poset(
+        ["a1", "a2", "b1", "b2"], [("a1", "a2"), ("b1", "b2")]))
+    for g in (fp.example_4_9(), two_chains):
+        assert fp.check_cm_structural(g).value
+        with pytest.raises(InvalidCertificate):
+            fp.is_bi_cm(g)
 
 
 def test_herzog_hibi():

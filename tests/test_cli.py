@@ -1,10 +1,13 @@
+import argparse
 import io
 import json
+import pathlib
+import re
 
 import pytest
 
 import flagposet as fp
-from flagposet.cli import main
+from flagposet.cli import build_parser, main
 
 
 def run(argv):
@@ -150,6 +153,46 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_classify_grid_stops_at_the_transversal_budget(capsys):
+    # the bi-CM isomorphism is read off the CM chains, so no isomorphism
+    # budget stops hom(5, 5) before its 25 elements meet the 24-vertex
+    # transversal budget
+    code, text = run(["classify", "--example", "hom:5,5"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == ("budget exceeded: transversal "
+                                       "enumeration limited to 24 vertices\n")
+
+
+def _readme_flag_table():
+    """Subcommand -> the flags its row of README's flag table lists."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("Each subcommand takes only the flags it reads:")[1]
+    rows = {}
+    for line in table.strip().splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        command, flags = line.strip("|").split("|")
+        rows[command.strip().strip("`")] = set(
+            re.findall(r"`(-[-\w]+)", flags))
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    rows = _readme_flag_table()
+    assert set(rows) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        # every listed flag is registered, and names a distinct option
+        # (``-o`` stands for ``-o/--output``)
+        assert rows[command] <= set(parser._option_string_actions), command
+        listed = {parser._option_string_actions[flag].dest
+                  for flag in rows[command]}
+        registered = {a.dest for a in parser._actions
+                      if a.option_strings and a.dest != "help"}
+        assert listed == registered, command
+
+
 def test_field_flag():
     report = run_json(["classify", "--example", "3.4",
                        "--field", "gfp:32003"])
@@ -166,7 +209,7 @@ def test_output_bytes_deterministic():
 
 
 # Flags that look global, each with a valid value, and the subcommands
-# that take them; no subcommand takes --pretty.
+# that take them; no subcommand takes --pretty or --budget-matching-nodes.
 FLAG_VALUES = {
     "--field": ["gf2"], "--seed": ["1"], "--format": ["text"],
     "--pretty": [], "--budget-cover-enum": ["50"],
@@ -175,8 +218,7 @@ FLAG_VALUES = {
 }
 READS = {
     "classify": {"--field", "--format", "--budget-cover-enum",
-                 "--budget-betti-vars", "--budget-matching-nodes",
-                 "--budget-iso-elements", "--budget-chain-pairs"},
+                 "--budget-betti-vars", "--budget-chain-pairs"},
     "betti": {"--field", "--format", "--budget-betti-vars"},
     "generate": {"--seed"},
     "isomorphic": {"--format", "--budget-iso-elements"},
