@@ -11,8 +11,14 @@ monotone along covers decides Cohen-Macaulayness.
 The recombination conditions are decomposition-independent once the
 matchings exist (if they hold for one decomposition the poset is
 unmixed, and an unmixed poset satisfies them for every decomposition),
-so they are checked once.  The labeling condition needs no search
-either: a labeling monotone along covers makes every layer's
+so they are checked once.  Their pairs of chains are not listed, which
+would take time exponential in the rank: one product automaton walks
+both chains of a pair up together, one rank at a time, keeping the pair
+of current elements while the two have not met, so each instance costs
+at most w^2 states per rank for layer width w.  The same automaton, run
+on narrowed element sets, picks the first failing pair of the
+enumeration order as the witness.  The labeling condition needs no
+search either: a labeling monotone along covers makes every layer's
 biadjacency matrix triangular in label order, with a nonzero diagonal,
 so the decomposition it labels is the poset's only one.  The first
 decomposition found therefore has a monotone labeling exactly when the
@@ -144,100 +150,156 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
 
 
 # ---------------------------------------------------------------------------
-# Recombination conditions on chain pairs
+# Recombination conditions as a product automaton
 # ---------------------------------------------------------------------------
+#
+# Condition 3 takes, for each decomposition chain and ranks i < j, every
+# saturated chain c1 down from chain[j] and every c2 up from chain[i] to
+# rank j, and asks for a saturated chain from c1's start to c2's end whose
+# element at each rank between comes from c1 or c2.  Condition 4 asks the
+# same of c1 down from chain[k] and c2 up from chain[i] to a maximal
+# element w of rank j, i < j < k, recombining from c1's start up to w.
+#
+# No pair is listed.  Walking c1 and c2 up together, the elements of the
+# two that are reachable from c1's start always include c1's own, which
+# covers the one before; once c2's element is reachable, so is each later
+# one, which covers it.  So a pair fails exactly when the two never meet:
+# they start apart, and no element of c1 is covered by c2's element one
+# rank up, c2's end included.  The automaton's states are the pairs (c1's
+# element, c2's element) of one rank that have not met, at most w^2 per
+# rank for layer width w; a pair that meets can no longer fail and is
+# dropped, and a c2 that cannot reach its end dies out before the last
+# rank, the only place a failure is read.
 
-class _PairBudget:
+class _StateBudget:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
 
-    def tick(self) -> None:
-        self.used += 1
+    def tick(self, n: int) -> None:
+        self.used += n
         if self.used > self.limit:
             raise BudgetExceeded(
-                f"chain-pair enumeration exceeded {self.limit}")
+                f"chain-condition automaton exceeded {self.limit} states")
 
 
-def _saturated_chains(g: GradedPoset, start: str, steps: int, up: bool,
-                      target: str | None = None) -> list[tuple[str, ...]]:
-    """Saturated chains with ``steps`` covers from ``start``, up along
-    children or down along parents, each listed bottom to top.  With a
-    ``target`` the walk keeps to elements <= it and ends there."""
-    step = g.poset.children if up else g.poset.parents
-    paths = [(start,)]
-    for _ in range(steps):
-        paths = [c + (x,) for c in paths for x in step(c[-1])
-                 if target is None or g.poset.leq(x, target)]
-    if target is not None:
-        paths = [c for c in paths if c[-1] == target]
-    return paths if up else [c[::-1] for c in paths]
+def _bits(m: int):
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _recombines(g: GradedPoset, start: str, c1: tuple[str, ...],
-                c2: tuple[str, ...], end: str, span: int) -> bool:
-    """Is there a saturated chain start < ... < end whose intermediate
-    element at each level comes from c1 or c2?"""
-    reach = {start}
-    for level in range(1, span):
-        candidates = {c1[level], c2[level]}
-        reach = {y for y in candidates
-                 if any(g.poset.is_cover(x, y) for x in reach)}
-        if not reach:
-            return False
-    return any(g.poset.is_cover(x, end) for x in reach)
+class _Tables:
+    """Index tables of one graded poset, read off its public API: per
+    element index its children (in stored order) and parents, and as
+    bitmasks its children and the elements at or below it; per rank the
+    mask of its elements."""
+
+    def __init__(self, g: GradedPoset):
+        self.names = g.elements
+        self.index = {e: x for x, e in enumerate(self.names)}
+        self.kids = [tuple(self.index[c] for c in g.poset.children(e))
+                     for e in self.names]
+        self.pars = [[] for _ in self.names]
+        for x, ks in enumerate(self.kids):
+            for y in ks:
+                self.pars[y].append(x)
+        self.kmask = [sum(1 << y for y in ks) for ks in self.kids]
+        layers = [[self.index[e] for e in g.layer(i)]
+                  for i in range(1, g.rbar() + 1)]
+        self.rank_mask = [0] + [sum(1 << x for x in xs) for xs in layers]
+        self.below = [0] * len(self.names)
+        for xs in layers:
+            for x in xs:
+                m = 1 << x
+                for y in self.pars[x]:
+                    m |= self.below[y]
+                self.below[x] = m
 
 
-def _condition3(g: GradedPoset, chains, budget: _PairBudget,
-                weak: bool) -> tuple[bool, dict | None]:
+def _cases(g: GradedPoset, t: _Tables, chains):
+    """The instances of conditions 3 and 4 in checking order, each as
+    (condition, chain, i, bottom, top, height, span, w): c1 runs
+    ``height`` covers from rank i up to ``top``, and c2 ``span`` covers
+    up from the chain's rank-i element ``bottom`` to any element (``w``
+    None) or to the maximal element ``w``."""
     for chain in chains:
-        for i in range(1, len(chain) + 1):
-            for j in range(i + 1, len(chain) + 1):
-                down = _saturated_chains(g, chain[j - 1], j - i, up=False)
-                up = _saturated_chains(g, chain[i - 1], j - i, up=True)
-                for c1 in down:
-                    for c2 in up:
-                        budget.tick()
-                        start, end = c1[0], c2[-1]
-                        if weak:
-                            ok = g.poset.less(start, end)
-                        else:
-                            ok = _recombines(g, start, c1, c2, end, j - i)
-                        if not ok:
-                            return False, {"through": chain,
-                                           "chain1": list(c1),
-                                           "chain2": list(c2)}
-    return True, None
-
-
-def _condition4(g: GradedPoset, chains, budget: _PairBudget,
-                weak: bool) -> tuple[bool, dict | None]:
-    maxes_by_rank: dict[int, list[str]] = {}
+        c = [t.index[e] for e in chain]
+        for i in range(1, len(c) + 1):
+            for j in range(i + 1, len(c) + 1):
+                yield 3, chain, i, c[i - 1], c[j - 1], j - i, j - i, None
+    maxes: dict[int, list[int]] = {}
     for e in g.poset.maximal_elements():
-        maxes_by_rank.setdefault(g.rank[e], []).append(e)
+        maxes.setdefault(g.rank[e], []).append(t.index[e])
     for chain in chains:
-        for i in range(1, len(chain) - 1):
-            for k in range(i + 2, len(chain) + 1):
-                down = _saturated_chains(g, chain[k - 1], k - i, up=False)
+        c = [t.index[e] for e in chain]
+        for i in range(1, len(c) - 1):
+            for k in range(i + 2, len(c) + 1):
                 for j in range(i + 1, k):
-                    for w in maxes_by_rank.get(j, ()):
-                        up = _saturated_chains(g, chain[i - 1], j - i,
-                                                up=True, target=w)
-                        for c1 in down:
-                            for c2 in up:
-                                budget.tick()
-                                start = c1[0]
-                                if weak:
-                                    ok = g.poset.less(start, w)
-                                else:
-                                    ok = _recombines(g, start, c1, c2, w,
-                                                     j - i)
-                                if not ok:
-                                    return False, {"through": chain,
-                                                   "chain1": list(c1),
-                                                   "chain2": list(c2),
-                                                   "maximal": w}
-    return True, None
+                    for w in maxes.get(j, ()):
+                        yield 4, chain, i, c[i - 1], c[k - 1], k - i, j - i, w
+
+
+def _fails(t: _Tables, budget: _StateBudget, amasks, bmasks,
+           ends: int) -> bool:
+    """Run the automaton over ``len(amasks)`` covers, c1 and c2 keeping
+    to ``amasks[l]`` and ``bmasks[l]`` at level l and c2 ending in
+    ``ends``; True if some pair fails.  Every element of ``amasks[l]``
+    must have a child in the next level's set (or in c1's element above
+    the last level), so that each state extends to a whole c1."""
+    span = len(amasks)
+    states = {a: bmasks[0] & ~(1 << a) for a in _bits(amasks[0])}
+    for level in range(1, span + 1):
+        nxt: dict[int, int] = {}
+        for a, bs in states.items():
+            budget.tick(bs.bit_count())
+            step = 0
+            for b in _bits(bs):
+                step |= t.kmask[b]
+            step &= ~t.kmask[a]
+            if level == span:
+                if step & ends:
+                    return True
+                continue
+            step &= bmasks[level]
+            if step:
+                for a2 in t.kids[a]:
+                    if amasks[level] >> a2 & 1:
+                        nxt[a2] = nxt.get(a2, 0) | step
+        states = nxt
+    return False
+
+
+def _failing_pair(t: _Tables, budget: _StateBudget, i: int, bottom: int,
+                  top: int, height: int, span: int,
+                  w: int | None) -> tuple[list[str], list[str]] | None:
+    """The first failing (c1, c2) of one instance in enumeration order,
+    or None.  Pairs are ordered by c1, built from the top down through
+    parents in stored order, then by c2, built from the bottom up
+    through children; each element is the first whose choice still has
+    a failing completion, which the automaton decides."""
+    ends = t.rank_mask[i + span] if w is None else 1 << w
+    bmask = -1 if w is None else t.below[w]
+
+    def fails(c1: list[int], c2: list[int]) -> bool:
+        fixed = height - len(c1)  # c1 is fixed above this level
+        amasks = [1 << c1[height - lv] if lv > fixed
+                  else t.below[c1[-1]] & t.rank_mask[i + lv]
+                  for lv in range(span)]
+        bmasks = [(1 << c2[lv] if lv < len(c2) else -1) & bmask
+                  for lv in range(span)]
+        return _fails(t, budget, amasks, bmasks,
+                      (1 << c2[span] if len(c2) > span else -1) & ends)
+
+    c1, c2 = [top], [bottom]
+    if not fails(c1, c2):
+        return None
+    while len(c1) <= height:
+        c1.append(next(x for x in t.pars[c1[-1]] if fails(c1 + [x], c2)))
+    while len(c2) <= span:
+        c2.append(next(y for y in t.kids[c2[-1]] if fails(c1, c2 + [y])))
+    return [t.names[x] for x in reversed(c1)], [t.names[y] for y in c2]
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +309,23 @@ def _condition4(g: GradedPoset, chains, budget: _PairBudget,
 def _chain_conditions(g: GradedPoset,
                       chain_pairs: int) -> tuple[tuple | None, dict | None]:
     """Conditions 2-4, shared by unmixedness and Cohen-Macaulayness: a
-    chain decomposition, and the two recombination conditions on it.
-    Returns ``(chains, None)``, or ``(None, witness)`` for the first
-    condition that fails."""
+    chain decomposition, and the two recombination conditions on it,
+    with at most ``chain_pairs`` automaton states.  Returns
+    ``(chains, None)``, or ``(None, witness)`` for the first condition
+    that fails."""
     chains, bad = _first_decomposition(g)
     if chains is None:
         return None, {"condition": 2, "layer": bad}
-    budget = _PairBudget(chain_pairs)
-    ok, wit = _condition3(g, chains, budget, weak=False)
-    if not ok:
-        return None, {"condition": 3, **wit}
-    ok, wit = _condition4(g, chains, budget, weak=False)
-    if not ok:
-        return None, {"condition": 4, **wit}
+    t = _Tables(g)
+    budget = _StateBudget(chain_pairs)
+    for cond, chain, *case in _cases(g, t, chains):
+        pair = _failing_pair(t, budget, *case)
+        if pair:
+            witness = {"condition": cond, "through": chain,
+                       "chain1": pair[0], "chain2": pair[1]}
+            if cond == 4:
+                witness["maximal"] = t.names[case[-1]]
+            return None, witness
     return chains, None
 
 
@@ -283,15 +349,25 @@ def check_unmixed_structural(g: GradedPoset,
 def check_weak_conditions(g: GradedPoset,
                           chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> tuple[bool, bool]:
     """The weakened recombination conditions: the recombined chain may
-    run anywhere in the poset.  Vacuously true when no chain
-    decomposition exists."""
+    run anywhere in the poset, so a pair holds exactly when c1's start
+    lies below c2's end.  Each instance is then a test on two element
+    sets: every rank-i element below c1's top lies strictly below every
+    end that c2 can reach.  ``chain_pairs`` bounds the ends tested.
+    Vacuously true when no chain decomposition exists."""
     chains, _ = _first_decomposition(g)
     if chains is None:
         return True, True
-    budget = _PairBudget(chain_pairs)
-    ok3, _ = _condition3(g, chains, budget, weak=True)
-    ok4, _ = _condition4(g, chains, budget, weak=True)
-    return ok3, ok4
+    t = _Tables(g)
+    budget = _StateBudget(chain_pairs)
+    ok = {3: True, 4: True}
+    for cond, _, i, bottom, top, _, span, w in _cases(g, t, chains):
+        if ok[cond]:
+            starts = t.below[top] & t.rank_mask[i]
+            ends = t.rank_mask[i + span] if w is None else 1 << w
+            budget.tick(ends.bit_count())
+            ok[cond] = all(starts & ~t.below[e] == 0 for e in _bits(ends)
+                           if t.below[e] >> bottom & 1)
+    return ok[3], ok[4]
 
 
 def _label_order(g: GradedPoset, chains) -> list[int] | None:

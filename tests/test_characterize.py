@@ -1,4 +1,8 @@
+import importlib.util
 import itertools
+import pathlib
+import random
+import sys
 
 import pytest
 
@@ -162,6 +166,211 @@ def test_cm_posets_and_layers_have_one_decomposition(corpus_b):
             hh_count += 1
             assert len(list(_matchings(layer.top, layer.neighbors_top))) == 1
     assert hh_count == 177
+
+
+def _saturated_chains(g, start, steps, up, target=None):
+    """Reference walker: saturated chains with ``steps`` covers from
+    ``start``, up along children or down along parents, each listed
+    bottom to top.  With a ``target`` the walk keeps to elements <= it
+    and ends there."""
+    step = g.poset.children if up else g.poset.parents
+    paths = [(start,)]
+    for _ in range(steps):
+        paths = [c + (x,) for c in paths for x in step(c[-1])
+                 if target is None or g.poset.leq(x, target)]
+    if target is not None:
+        paths = [c for c in paths if c[-1] == target]
+    return paths if up else [c[::-1] for c in paths]
+
+
+def _recombines(g, start, c1, c2, end, span):
+    """Is there a saturated chain start < ... < end whose intermediate
+    element at each level comes from c1 or c2?"""
+    reach = {start}
+    for level in range(1, span):
+        candidates = {c1[level], c2[level]}
+        reach = {y for y in candidates
+                 if any(g.poset.is_cover(x, y) for x in reach)}
+        if not reach:
+            return False
+    return any(g.poset.is_cover(x, end) for x in reach)
+
+
+def _condition3(g, chains, weak):
+    """Reference: every pair of chains, in enumeration order."""
+    for chain in chains:
+        for i in range(1, len(chain) + 1):
+            for j in range(i + 1, len(chain) + 1):
+                down = _saturated_chains(g, chain[j - 1], j - i, up=False)
+                up = _saturated_chains(g, chain[i - 1], j - i, up=True)
+                for c1 in down:
+                    for c2 in up:
+                        start, end = c1[0], c2[-1]
+                        if weak:
+                            ok = g.poset.less(start, end)
+                        else:
+                            ok = _recombines(g, start, c1, c2, end, j - i)
+                        if not ok:
+                            return False, {"through": chain,
+                                           "chain1": list(c1),
+                                           "chain2": list(c2)}
+    return True, None
+
+
+def _condition4(g, chains, weak):
+    """Reference: every pair of chains, in enumeration order."""
+    maxes_by_rank = {}
+    for e in g.poset.maximal_elements():
+        maxes_by_rank.setdefault(g.rank[e], []).append(e)
+    for chain in chains:
+        for i in range(1, len(chain) - 1):
+            for k in range(i + 2, len(chain) + 1):
+                down = _saturated_chains(g, chain[k - 1], k - i, up=False)
+                for j in range(i + 1, k):
+                    for w in maxes_by_rank.get(j, ()):
+                        up = _saturated_chains(g, chain[i - 1], j - i,
+                                               up=True, target=w)
+                        for c1 in down:
+                            for c2 in up:
+                                start = c1[0]
+                                if weak:
+                                    ok = g.poset.less(start, w)
+                                else:
+                                    ok = _recombines(g, start, c1, c2, w,
+                                                     j - i)
+                                if not ok:
+                                    return False, {"through": chain,
+                                                   "chain1": list(c1),
+                                                   "chain2": list(c2),
+                                                   "maximal": w}
+    return True, None
+
+
+def _reference_chain_conditions(g, chain_pairs):
+    from flagposet import characterize
+    chains, bad = characterize._first_decomposition(g)
+    if chains is None:
+        return None, {"condition": 2, "layer": bad}
+    for number, condition in ((3, _condition3), (4, _condition4)):
+        ok, wit = condition(g, chains, weak=False)
+        if not ok:
+            return None, {"condition": number, **wit}
+    return chains, None
+
+
+def _reference_weak_conditions(g):
+    from flagposet import characterize
+    chains, _ = characterize._first_decomposition(g)
+    if chains is None:
+        return True, True
+    return (_condition3(g, chains, weak=True)[0],
+            _condition4(g, chains, weak=True)[0])
+
+
+def _generated_chain_posets(count):
+    """Seeded posets of 2-4 disjoint chains of 1-4 elements joined by
+    random covers that keep the chains a decomposition, kept when
+    impure or with an isolated rank-1 maximum."""
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        chains = [[f"c{u}_{r}" for r in range(1, n + 1)]
+                  for u, n in enumerate(lengths, 1)]
+        q = rng.choice((0.2, 0.4, 0.6))
+        covers = [(c[r], c[r + 1]) for c in chains for r in range(len(c) - 1)]
+        covers += [(a[r], b[r + 1]) for a in chains for b in chains
+                   if a is not b for r in range(min(len(a), len(b)) - 1)
+                   if rng.random() < q]
+        g = fp.rank_function(fp.build_poset(
+            [e for c in chains for e in c], covers))
+        if not g.is_pure() or 1 in lengths:
+            out.append(g)
+    return out
+
+
+def _structural_grids_posets(seed):
+    """The posets of the benchmark's ``structural_grids`` workload."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [g for g, _ in workloads.build_structural_grids(seed)]
+
+
+def _structural_json(g):
+    from flagposet.characterize import jsonable
+    return [jsonable(fp.check_unmixed_structural(g)),
+            jsonable(fp.check_cm_structural(g)),
+            list(fp.check_weak_conditions(g))]
+
+
+@pytest.mark.parametrize("pool, failing", [
+    ("sweep", {3: 210}), ("corpus", {3: 5}), ("grids", {}),
+    ("generated", {3: 48, 4: 7})])
+def test_chain_conditions_equal_pair_enumeration(monkeypatch, corpus_b,
+                                                 pool, failing):
+    # the automaton gives the verdicts and the first failing pair of the
+    # enumeration that lists every pair of saturated chains
+    from flagposet import characterize
+    posets = {
+        "sweep": lambda: [sweep_poset(bits, iso) for iso in (False, True)
+                          for bits in range(512)],
+        "corpus": lambda: corpus_b,
+        "grids": lambda: _structural_grids_posets(1)[::7],
+        "generated": lambda: _generated_chain_posets(200),
+    }[pool]()
+    got = [_structural_json(g) for g in posets]
+    memo = {}  # the unmixed and CM checks share one reference run
+
+    def reference(g, chain_pairs):
+        if id(g) not in memo:
+            memo[id(g)] = _reference_chain_conditions(g, chain_pairs)
+        return memo[id(g)]
+
+    monkeypatch.setattr(characterize, "_chain_conditions", reference)
+    reference = [_structural_json(g)[:2] + [list(_reference_weak_conditions(g))]
+                 for g in posets]
+    assert got == reference
+    counts = {}
+    for unmixed, _, _ in got:
+        if unmixed["witness"] and unmixed["witness"]["condition"] > 2:
+            cond = unmixed["witness"]["condition"]
+            counts[cond] = counts.get(cond, 0) + 1
+    assert counts == failing
+
+
+def test_chain_pair_budget_counts_automaton_states(monkeypatch):
+    from flagposet import characterize
+    budgets = []
+
+    class Recording(characterize._StateBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(characterize, "_StateBudget", Recording)
+    g = fp.hom_rt_poset(4, 4)
+    full = fp.check_cm_structural(g)
+    states = budgets[-1].used
+    assert states == 36
+    assert fp.check_cm_structural(g, chain_pairs=states) == full
+    for limit in (1, 10, states - 1):
+        budgets.clear()
+        with pytest.raises(BudgetExceeded,
+                           match=f"exceeded {limit} states"):
+            fp.check_cm_structural(g, chain_pairs=limit)
+        # states are counted before they are expanded, a group of one
+        # c1 element (at most a layer's width of 4) at a time
+        assert limit < budgets[-1].used <= limit + 4
+
+
+def test_grids_pass_the_chain_conditions_at_default_budgets():
+    v = fp.is_bi_cm(fp.hom_rt_poset(8, 8))
+    assert v.value and v.certificate["hom_parameters"] == (8, 8)
+    assert fp.check_cm_structural(fp.hom_rt_poset(10, 10),
+                                  chain_pairs=50_000).value
 
 
 def test_chain_decomposition_validation():

@@ -153,14 +153,23 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
-def test_classify_grid_stops_at_the_transversal_budget(capsys):
-    # the bi-CM isomorphism is read off the CM chains, so no isomorphism
-    # budget stops hom(5, 5) before its 25 elements meet the 24-vertex
-    # transversal budget
-    code, text = run(["classify", "--example", "hom:5,5"])
+@pytest.mark.parametrize("grid", ["hom:5,5", "hom:8,8"])
+def test_classify_grid_stops_at_the_transversal_budget(capsys, grid):
+    # the bi-CM isomorphism is read off the CM chains and the chain
+    # conditions are polynomial, so neither stops hom(5, 5) or hom(8, 8)
+    # before their elements meet the 24-vertex transversal budget
+    code, text = run(["classify", "--example", grid])
     assert code == 2 and text == ""
     assert capsys.readouterr().err == ("budget exceeded: transversal "
                                        "enumeration limited to 24 vertices\n")
+
+
+def test_classify_stops_at_the_chain_pair_budget(capsys):
+    code, text = run(["classify", "--example", "hom:3,3",
+                      "--budget-chain-pairs", "1"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == ("budget exceeded: chain-condition "
+                                       "automaton exceeded 1 states\n")
 
 
 def _readme_flag_table():
