@@ -13,7 +13,7 @@ hand-checked values and independent brute-force references.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def rank_gf2(rows: Sequence[int], ncols: int | None = None) -> int:
@@ -96,6 +96,26 @@ def rank_qq(rows: Sequence[Sequence[int]]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def size_lex_sorted(masks: Iterable[int]) -> list[int]:
+    """The masks ordered by bit count, then by their ascending lists of
+    bit indices compared lexicographically.
+
+    Among masks of one bit count that list order is the descending order
+    of the masks with their bits reversed, i.e. the ascending order of
+    the reversed complements, so each mask gets one integer key: its bit
+    count above its reversed complement.
+    """
+    masks = list(masks)
+    width = 0
+    for m in masks:
+        width |= m
+    width = width.bit_length()
+    full = (1 << width) - 1
+    spec = f"0{width}b"
+    return sorted(masks, key=lambda m: m.bit_count() << width
+                  | int(format(full ^ m, spec)[::-1], 2))
 
 
 def faces_from_nonfaces(nonface_masks: Sequence[int], sub_mask: int) -> list[int]:

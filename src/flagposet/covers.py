@@ -1,9 +1,12 @@
 """Maximal-chain transversals: minimal vertex covers, independent sets,
 covering number, and brute-force unmixedness.
 
-The transversal enumerator is exact branch-and-bound with a minimality
-post-filter; it is meant for desk-scale inputs and raises BudgetExceeded
-rather than truncating.
+The transversal enumerator is MMCS (K. Murakami and T. Uno, *Efficient
+algorithms for dualizing large-scale hypergraphs*, Discrete Appl. Math.
+170, 2014) on bitmasks: it only ever extends a set whose every vertex
+still has a critical edge, so it produces each minimal transversal once
+and nothing else.  It is meant for desk-scale inputs and raises
+BudgetExceeded rather than truncating.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import kernel
 from .errors import BudgetExceeded
 from .posets import GradedPoset, maximal_chains
 
@@ -31,42 +35,64 @@ class IndependentSet:
 def minimal_transversals(edges: Iterable[frozenset],
                          universe: Sequence[str],
                          budget: int = DEFAULT_COVER_BUDGET) -> list[frozenset]:
-    """All inclusion-minimal sets meeting every hyperedge.
+    """All inclusion-minimal sets meeting every hyperedge, ordered by
+    size and then by their sorted universe indices.
 
-    Hyperedges are processed smallest first; at an unmet edge the search
-    branches on its vertices in universe order.  Every minimal
-    transversal is generated (possibly alongside non-minimal ones, which
-    the post-filter removes).  An empty hyperedge is unsatisfiable.
+    The search adds one vertex at a time.  Each chosen vertex keeps its
+    critical edges, the edges it alone meets; a vertex whose addition
+    would leave a chosen vertex with none is not added, so every set
+    reached is minimal for the edges it meets.  It branches on the
+    uncovered edge with the fewest candidate vertices, and a vertex
+    branched on is a candidate only in its later siblings' subtrees, so
+    no set is reached twice.  An empty hyperedge is unsatisfiable.
     """
     if len(universe) > budget:
         raise BudgetExceeded(
             f"transversal enumeration limited to {budget} vertices")
     order = {v: i for i, v in enumerate(universe)}
-    edge_list = sorted({frozenset(e) for e in edges},
-                       key=lambda e: (len(e), sorted(order[v] for v in e)))
-    if any(not e for e in edge_list):
+    edge_masks = sorted({sum(1 << order[v] for v in e) for e in edges})
+    if 0 in edge_masks:
         return []
-    found: set[frozenset] = set()
+    # hits[v]: the edges (as a bitmask over edge_masks) that vertex v meets
+    hits = [0] * len(universe)
+    for k, e in enumerate(edge_masks):
+        while e:
+            b = e & -e
+            e ^= b
+            hits[b.bit_length() - 1] |= 1 << k
+    found: list[int] = []
 
-    def rec(i: int, chosen: frozenset) -> None:
-        if i == len(edge_list):
-            found.add(chosen)
+    def extend(chosen: int, crit: list[int], uncovered: int,
+               cand: int) -> None:
+        # crit[i] holds the critical edges of the i-th chosen vertex
+        if not uncovered:
+            found.append(chosen)
             return
-        e = edge_list[i]
-        if e & chosen:
-            rec(i + 1, chosen)
-            return
-        for v in sorted(e, key=order.get):
-            rec(i + 1, chosen | {v})
+        branch, fewest = 0, len(universe) + 1
+        rest = uncovered
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            c = edge_masks[b.bit_length() - 1] & cand
+            if c.bit_count() < fewest:
+                branch, fewest = c, c.bit_count()
+                if not fewest:
+                    return
+        cand &= ~branch
+        while branch:
+            b = branch & -branch
+            branch ^= b
+            hit = hits[b.bit_length() - 1]
+            miss = ~hit
+            kept = [c & miss for c in crit]
+            if all(kept):
+                extend(chosen | b, kept + [hit & uncovered],
+                       uncovered & miss, cand)
+            cand |= b
 
-    rec(0, frozenset())
-    by_size = sorted(found, key=len)
-    minimal: list[frozenset] = []
-    for c in by_size:
-        if not any(m < c for m in minimal):
-            minimal.append(c)
-    minimal.sort(key=lambda c: (len(c), sorted(order[v] for v in c)))
-    return minimal
+    extend(0, [], (1 << len(edge_masks)) - 1, (1 << len(universe)) - 1)
+    return [frozenset(universe[i] for i in range(len(universe)) if m >> i & 1)
+            for m in kernel.size_lex_sorted(found)]
 
 
 def _chain_sets(g: GradedPoset) -> list[frozenset]:

@@ -29,7 +29,10 @@ GF(p), fraction-free elimination over QQ.
   the multidegree zero.  ``kernel.morse_cohomology_dims`` then matches
   the pair's faces over every other vertex in turn and eliminates only
   when the unmatched faces span several degrees; on example 4.9 that
-  never happens.
+  never happens.  ``full_betti_table`` is one pass over the lcm masks:
+  it finds v from bit-plane counts of the generators inside A, writes
+  the dims vector straight into table entries and builds A's variable
+  set only when it has a nonzero entry.
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
   stay the literal Hochster computation on the whole restriction, with
   plain ``kernel.cohomology_dims``.  They are the reference the excised
@@ -109,27 +112,48 @@ def restriction_cohomology_poly(ideal: SquarefreeIdeal,
     return _poly_from_nonfaces(gens, mask, f)
 
 
-def _excised_cohomology_poly(gen_masks: Sequence[int], mask: int,
-                             f: FieldSpec) -> LaurentPoly:
-    """H(restriction to ``mask``, t) from the pair (del v, lk v).
+def _excision_vertex(inside: Sequence[int], mask: int) -> int:
+    """The vertex (as a one-bit mask) of ``mask`` in the fewest of the
+    masks ``inside``, ties to the lowest index; 0 when some vertex of
+    ``mask`` is in none of them.
+
+    Every vertex's count is kept in binary across bit planes, one
+    ripple-carry addition per mask; the least count is then read off
+    the planes from the top one down.
+    """
+    planes: list[int] = []
+    union = 0
+    for g in inside:
+        union |= g
+        carry = g
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    if mask & ~union:
+        return 0
+    fewest = mask
+    for plane in reversed(planes):
+        if fewest & ~plane:
+            fewest &= ~plane
+    return fewest & -fewest
+
+
+def _excised_dims(inside: Sequence[int], mask: int, p: int) -> list[int]:
+    """``[dim H^-1, dim H^0, ...]`` of the restriction to ``mask`` of the
+    complex with the nonempty nonface list ``inside`` (every one within
+    ``mask``), from the pair (del v, lk v).
 
     The pair's faces are the disjoint union over k of t_k | G, where G
     avoids every other nonface of the restriction and every earlier
     t_j, all taken relative to t_k.
     """
-    inside = [g for g in gen_masks if g & ~mask == 0]
-    if not inside:
-        return LaurentPoly.t_power(-1) if mask == 0 else LaurentPoly.zero()
-    v, fewest = 0, len(inside) + 1
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        count = sum(1 for g in inside if g & b)
-        if count < fewest:
-            v, fewest = b, count
-    if fewest == 0:
-        return LaurentPoly.zero()
+    v = _excision_vertex(inside, mask)
+    if not v:
+        return []
     links = [g ^ v for g in inside if g & v]
     others = [g for g in inside if not g & v]
     rest = mask ^ v
@@ -138,11 +162,13 @@ def _excised_cohomology_poly(gen_masks: Sequence[int], mask: int,
         nonfaces = [n & ~t for n in others] + [s & ~t for s in links[:k]]
         faces += [t | x for x in
                   kernel.faces_from_nonfaces(nonfaces, rest & ~t)]
-    return poly_from_dims(kernel.morse_cohomology_dims(faces, f.p or 0))
+    return kernel.morse_cohomology_dims(faces, p)
 
 
-def _betti_vector(poly: LaurentPoly, n: int) -> list[int]:
-    return [poly.coefficient(n - j - 2) for j in range(n)]
+def _betti_vector(dims: list[int], n: int) -> list[int]:
+    """(beta_0, ..., beta_{n-1}) of an n-element multidegree from its
+    restriction's dims: beta_j = dim H^(n-j-2), i.e. ``dims[n-j-1]``."""
+    return [dims[k] if k < len(dims) else 0 for k in range(n - 1, -1, -1)]
 
 
 def betti_multidegree(ideal: SquarefreeIdeal, multidegree: Iterable[str],
@@ -155,8 +181,9 @@ def betti_multidegree(ideal: SquarefreeIdeal, multidegree: Iterable[str],
     if len(a) > budget:
         raise BudgetExceeded(f"multidegree larger than budget {budget}")
     mask, index = _multidegree_mask(ideal, a)
-    poly = _excised_cohomology_poly(_gen_masks(ideal, index), mask, f)
-    return _betti_vector(poly, len(a))
+    inside = [g for g in _gen_masks(ideal, index) if not g & ~mask]
+    dims = _excised_dims(inside, mask, f.p or 0) if inside else []
+    return _betti_vector(dims, len(a))
 
 
 def betti_polynomial_bruteforce(ideal: SquarefreeIdeal,
@@ -230,22 +257,20 @@ class BettiTable:
 def _lcm_masks(gen_masks: Sequence[int]) -> list[int]:
     """All unions of the generator masks, ordered by size and then by
     their sorted bit indices."""
-    seen = set(gen_masks)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gen_masks:
-                u = a | g
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen, key=lambda m: (m.bit_count(), _bit_indices(m)))
+    unions: set[int] = set()
+    for g in gen_masks:
+        unions |= {a | g for a in unions}
+        unions.add(g)
+    return kernel.size_lex_sorted(unions)
 
 
-def _bit_indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def _variable_set(names: Sequence[str], mask: int) -> frozenset[str]:
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(names[b.bit_length() - 1])
+    return frozenset(out)
 
 
 def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
@@ -253,7 +278,7 @@ def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
     nonzero Betti number; anything else restricts to a cone)."""
     index = {v: i for i, v in enumerate(ideal.variables)}
     names = ideal.variables
-    return [frozenset(names[i] for i in _bit_indices(m))
+    return [_variable_set(names, m)
             for m in _lcm_masks(_gen_masks(ideal, index))]
 
 
@@ -264,22 +289,26 @@ def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
 
     Candidate multidegrees are the unions of generator supports: if some
     vertex of A lies in no generator inside A, the restriction is a cone
-    over it and contributes nothing.
+    over it and contributes nothing.  One pass over them reads each
+    beta_{j,A} = dim H^(|A|-j-2) straight off the pair's dims.
     """
     if len(ideal.variables) > budget:
         raise BudgetExceeded(f"Betti table limited to {budget} variables")
     index = {v: i for i, v in enumerate(ideal.variables)}
     names = ideal.variables
     gens = _gen_masks(ideal, index)
+    p = f.p or 0
     entries: dict[tuple[int, frozenset[str]], int] = {}
     for mask in _lcm_masks(gens):
-        vec = _betti_vector(_excised_cohomology_poly(gens, mask, f),
-                            mask.bit_count())
-        if any(vec):
-            a = frozenset(names[i] for i in _bit_indices(mask))
-            for j, b in enumerate(vec):
-                if b:
-                    entries[(j, a)] = b
+        outside = ~mask
+        dims = _excised_dims([g for g in gens if not g & outside], mask, p)
+        n = mask.bit_count()
+        a = None
+        for k in range(min(len(dims), n) - 1, -1, -1):
+            if dims[k]:
+                if a is None:
+                    a = _variable_set(names, mask)
+                entries[(n - 1 - k, a)] = dims[k]
     return BettiTable(ideal.variables, entries, f)
 
 

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import kernel
 from .characterize import ChainDecomposition
 from .covers import DEFAULT_COVER_BUDGET, minimal_transversals
 from .errors import (
@@ -59,15 +60,21 @@ class SquarefreeIdeal:
             if not g <= vset:
                 raise UnknownVariable(
                     f"generator {sorted(g)} uses unknown variables")
-        gens = sorted(set(gens),
-                      key=lambda g: (len(g), sorted(index[v] for v in g)))
-        for i, g in enumerate(gens):
-            for h in gens[:i]:
-                if h <= g:
-                    raise InvalidParameter(
-                        "generators must be inclusion-incomparable")
+        by_mask = {sum(1 << index[v] for v in g): g for g in gens}
+        masks = kernel.size_lex_sorted(by_mask)
+        # only a strictly smaller generator can lie inside another
+        smaller: list[int] = []
+        size_start = 0
+        for i, m in enumerate(masks):
+            if m.bit_count() > masks[size_start].bit_count():
+                smaller += masks[size_start:i]
+                size_start = i
+            outside = ~m
+            if any(not h & outside for h in smaller):
+                raise InvalidParameter(
+                    "generators must be inclusion-incomparable")
         self.variables = variables
-        self.generators = tuple(gens)
+        self.generators = tuple(by_mask[m] for m in masks)
 
     @classmethod
     def from_generators(cls, variables: Sequence[str],

@@ -1,6 +1,7 @@
 """The compute kernels.
 
-The six functions every homology computation runs on, implemented in
+The six functions every homology computation runs on, and the subset
+order the tables and transversal lists are sorted in, implemented in
 pure Python in ``flagposet._kernel_py`` and re-exported here; callers
 use ``kernel.*``.  ``morse_cohomology_dims`` is ``cohomology_dims``
 behind an element matching over the vertices in ascending index order;
@@ -15,6 +16,7 @@ from flagposet._kernel_py import (
     morse_cohomology_dims,
     rank_gf2,
     rank_mod_p,
+    size_lex_sorted,
 )
 
 IMPLEMENTATION = "pure"

@@ -581,6 +581,24 @@ def test_classification_report_fields():
     json.dumps(report)  # fully serializable
 
 
+# sha256 over the sort_keys JSON of the reports of corpus posets 0-39,
+# one line each; a change to a verdict, witness, certificate or count
+# in any of them changes it
+REPORT_DIGEST_40 = (
+    "9cad2d31be264dc5bccccb9cb8be6e6162c47bf76e878cd9040270ff7fea86d5")
+
+
+def test_classification_reports_are_pinned(corpus_b):
+    import hashlib
+    import json
+    h = hashlib.sha256()
+    for g in corpus_b[:40]:
+        h.update(json.dumps(fp.classification_report(g),
+                            sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == REPORT_DIGEST_40
+
+
 def test_classification_report_runs_each_structural_check_once(monkeypatch):
     from flagposet import characterize
     calls = []

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,42 @@ import pytest
 import flagposet as fp
 from flagposet.errors import BudgetExceeded
 
-from conftest import corpus_poset
+from conftest import corpus_poset, sweep_poset
+
+
+def reference_minimal_transversals(edges, universe):
+    """Independent reference: branch-and-bound over the hyperedges,
+    smallest first, branching on the vertices of each unmet edge in
+    universe order, then a minimality post-filter."""
+    order = {v: i for i, v in enumerate(universe)}
+    edge_list = sorted({frozenset(e) for e in edges},
+                       key=lambda e: (len(e), sorted(order[v] for v in e)))
+    if any(not e for e in edge_list):
+        return []
+    found = set()
+
+    def rec(i, chosen):
+        if i == len(edge_list):
+            found.add(chosen)
+            return
+        e = edge_list[i]
+        if e & chosen:
+            rec(i + 1, chosen)
+            return
+        for v in sorted(e, key=order.get):
+            rec(i + 1, chosen | {v})
+
+    rec(0, frozenset())
+    minimal = []
+    for c in sorted(found, key=len):
+        if not any(m < c for m in minimal):
+            minimal.append(c)
+    minimal.sort(key=lambda c: (len(c), sorted(order[v] for v in c)))
+    return minimal
+
+
+def _chain_hypergraph(g):
+    return [frozenset(c.elements) for c in fp.maximal_chains(g)], g.elements
 
 
 def brute_minimal_covers(g):
@@ -119,3 +155,49 @@ def test_cover_meets_each_certificate_chain_once():
         for cover in fp.minimal_vertex_covers(g):
             for chain in chains:
                 assert len(cover.cover & set(chain)) == 1
+
+
+def test_transversals_match_reference_on_posets(corpus_b):
+    pool = corpus_b + [sweep_poset(bits, iso) for iso in (False, True)
+                       for bits in range(512)]
+    for g in pool:
+        edges, universe = _chain_hypergraph(g)
+        assert fp.minimal_transversals(edges, universe) \
+            == reference_minimal_transversals(edges, universe), g
+
+
+def test_transversals_match_reference_on_random_hypergraphs():
+    rng = random.Random(20140501)
+    universe = [f"v{i}" for i in range(9)]
+    nonempty = 0
+    for trial in range(400):
+        n = rng.randint(1, len(universe))
+        edges = [frozenset(rng.sample(universe[:n], rng.randint(1, n)))
+                 for _ in range(rng.randint(0, 8))]
+        if edges and trial % 3 == 0:
+            edges += rng.sample(edges, rng.randint(1, len(edges)))
+        if trial % 40 == 0:
+            edges.append(frozenset())
+        got = fp.minimal_transversals(edges, universe[:n])
+        assert got == reference_minimal_transversals(edges, universe[:n]), \
+            edges
+        if frozenset() in edges:
+            assert got == []
+        nonempty += bool(got)
+    assert nonempty > 300
+    assert fp.minimal_transversals([], universe) == [frozenset()]
+
+
+def test_transversal_counts_on_grids():
+    # minimal vertex covers of hom(r, t); past the default 24-vertex
+    # budget, so the budget is raised to the element count
+    for (r, t), count in (((5, 5), 126), ((6, 6), 462)):
+        g = fp.hom_rt_poset(r, t)
+        edges, universe = _chain_hypergraph(g)
+        covers = fp.minimal_transversals(edges, universe, budget=len(g))
+        assert len(covers) == count
+        assert len(set(covers)) == count
+        for c in covers:
+            meets = [c & e for e in edges]
+            assert all(meets)
+            assert {v for m in meets if len(m) == 1 for v in m} == c

@@ -129,6 +129,33 @@ def test_betti_polynomials(corpus_b):
     assert nonzero > 100
 
 
+def test_lcm_lattice_order(corpus_b):
+    # by size, then by the sorted list of variable indices
+    for g in corpus_b[::5]:
+        ideal = fp.flag_ideal(g)
+        index = {v: i for i, v in enumerate(ideal.variables)}
+        lattice = fp.lcm_lattice(ideal)
+        assert lattice == sorted(
+            set(lattice), key=lambda a: (len(a), sorted(index[v] for v in a)))
+        unions = {frozenset().union(*c) for k in range(1, 4)
+                  for c in itertools.combinations(ideal.generators, k)}
+        assert unions <= set(lattice)
+        assert all(frozenset().union(*(gen for gen in ideal.generators
+                                       if gen <= a)) == a for a in lattice)
+
+
+@pytest.mark.parametrize("f", [GF2, GF(3)], ids=str)
+def test_graded_betti_table_equals_hochster_table(corpus_b, f):
+    # the layer product on every lcm-lattice multidegree against the
+    # excised Hochster table, entry for entry
+    pool = [g for g in corpus_b[::10] if len(g) <= 10]
+    assert len(pool) >= 12
+    pool.append(fp.example_4_9())
+    for g in pool:
+        assert fp.graded_betti_table(g, f).entries \
+            == fp.full_betti_table(fp.flag_ideal(g), f).entries, g
+
+
 def test_betti_polynomial_empty_multidegree():
     g = fp.example_3_4()
     assert fp.betti_polynomial_fast(g, ()) == t(1)

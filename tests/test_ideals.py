@@ -28,6 +28,15 @@ def test_constructor_validates():
         ideal("xy", [()])
     with pytest.raises(UnknownVariable):
         ideal("xy", [("z",)])
+    # a comparable pair is rejected across size classes and in any
+    # input order; equal-size generators are never comparable
+    with pytest.raises(InvalidParameter):
+        ideal("wxyz", [("w", "x", "y"), ("y", "z"), ("x", "y", "z"),
+                       ("w", "x", "y", "z")])
+    with pytest.raises(InvalidParameter):
+        ideal("wxyz", [("w", "z"), ("x", "y", "z"), ("x",), ("y", "z")])
+    assert len(ideal("wxyz", [("w", "x"), ("x", "y"), ("w", "y", "z"),
+                              ("x", "z")]).generators) == 4
     # from_generators minimalizes instead
     i = fp.SquarefreeIdeal.from_generators("xyz", [("x", "y"), ("x",)])
     assert i.generators == (frozenset({"x"}),)
