@@ -74,7 +74,6 @@ from .homology import (
     graded_betti_table,
     has_linear_resolution_oracle,
     is_cm_oracle,
-    is_cm_poset_oracle,
     lcm_lattice,
     oracle_verdicts,
     reduced_cohomology_poly,
@@ -112,7 +111,6 @@ from .posets import (
     hom_rt_poset,
     layer_pair,
     letterplace_poset,
-    make_chain,
     maximal_chains,
     parse_poset_text,
     pentagon,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InvalidCertificate
+from .errors import InvalidCertificate, InvalidParameter
 from .posets import (
     BipartiteLayer,
     GradedPoset,
@@ -44,8 +44,6 @@ from .posets import (
     rank_selection,
     topological_order,
 )
-
-DEFAULT_CHAIN_PAIRS = 200000
 
 
 @dataclass(frozen=True)
@@ -171,18 +169,6 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
 # dropped, and a c2 that cannot reach its end dies out before the last
 # rank, the only place a failure is read.
 
-class _StateBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self, n: int) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(
-                f"chain-condition automaton exceeded {self.limit} states")
-
-
 def _bits(m: int):
     while m:
         low = m & -m
@@ -241,8 +227,7 @@ def _cases(g: GradedPoset, t: _Tables, chains):
                         yield 4, chain, i, c[i - 1], c[k - 1], k - i, j - i, w
 
 
-def _fails(t: _Tables, budget: _StateBudget, amasks, bmasks,
-           ends: int) -> bool:
+def _fails(t: _Tables, amasks, bmasks, ends: int) -> bool:
     """Run the automaton over ``len(amasks)`` covers, c1 and c2 keeping
     to ``amasks[l]`` and ``bmasks[l]`` at level l and c2 ending in
     ``ends``; True if some pair fails.  Every element of ``amasks[l]``
@@ -253,7 +238,6 @@ def _fails(t: _Tables, budget: _StateBudget, amasks, bmasks,
     for level in range(1, span + 1):
         nxt: dict[int, int] = {}
         for a, bs in states.items():
-            budget.tick(bs.bit_count())
             step = 0
             for b in _bits(bs):
                 step |= t.kmask[b]
@@ -271,9 +255,8 @@ def _fails(t: _Tables, budget: _StateBudget, amasks, bmasks,
     return False
 
 
-def _failing_pair(t: _Tables, budget: _StateBudget, i: int, bottom: int,
-                  top: int, height: int, span: int,
-                  w: int | None) -> tuple[list[str], list[str]] | None:
+def _failing_pair(t: _Tables, i: int, bottom: int, top: int, height: int,
+                  span: int, w: int | None) -> tuple[list[str], list[str]] | None:
     """The first failing (c1, c2) of one instance in enumeration order,
     or None.  Pairs are ordered by c1, built from the top down through
     parents in stored order, then by c2, built from the bottom up
@@ -289,7 +272,7 @@ def _failing_pair(t: _Tables, budget: _StateBudget, i: int, bottom: int,
                   for lv in range(span)]
         bmasks = [(1 << c2[lv] if lv < len(c2) else -1) & bmask
                   for lv in range(span)]
-        return _fails(t, budget, amasks, bmasks,
+        return _fails(t, amasks, bmasks,
                       (1 << c2[span] if len(c2) > span else -1) & ends)
 
     c1, c2 = [top], [bottom]
@@ -306,20 +289,18 @@ def _failing_pair(t: _Tables, budget: _StateBudget, i: int, bottom: int,
 # Unmixedness and Cohen-Macaulayness
 # ---------------------------------------------------------------------------
 
-def _chain_conditions(g: GradedPoset,
-                      chain_pairs: int) -> tuple[tuple | None, dict | None]:
+def _chain_conditions(g: GradedPoset) -> tuple[tuple | None, dict | None]:
     """Conditions 2-4, shared by unmixedness and Cohen-Macaulayness: a
     chain decomposition, and the two recombination conditions on it,
-    with at most ``chain_pairs`` automaton states.  Returns
-    ``(chains, None)``, or ``(None, witness)`` for the first condition
-    that fails."""
+    each instance one automaton run of at most w^2 states per rank.
+    Returns ``(chains, None)``, or ``(None, witness)`` for the first
+    condition that fails."""
     chains, bad = _first_decomposition(g)
     if chains is None:
         return None, {"condition": 2, "layer": bad}
     t = _Tables(g)
-    budget = _StateBudget(chain_pairs)
     for cond, chain, *case in _cases(g, t, chains):
-        pair = _failing_pair(t, budget, *case)
+        pair = _failing_pair(t, *case)
         if pair:
             witness = {"condition": cond, "through": chain,
                        "chain1": pair[0], "chain2": pair[1]}
@@ -329,8 +310,7 @@ def _chain_conditions(g: GradedPoset,
     return chains, None
 
 
-def check_unmixed_structural(g: GradedPoset,
-                             chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> Verdict:
+def check_unmixed_structural(g: GradedPoset) -> Verdict:
     """Unmixedness via layer sizes, per-layer perfect matchings, and the
     two recombination conditions."""
     sizes = g.layer_sizes()
@@ -338,7 +318,7 @@ def check_unmixed_structural(g: GradedPoset,
         if sizes[i] < sizes[i + 1]:
             return Verdict(False, witness={"condition": 1,
                                            "layer_sizes": list(sizes)})
-    chains, witness = _chain_conditions(g, chain_pairs)
+    chains, witness = _chain_conditions(g)
     if chains is None:
         return Verdict(False, witness=witness)
     ordered = tuple(sorted(chains, key=lambda c: (-len(c),
@@ -346,25 +326,22 @@ def check_unmixed_structural(g: GradedPoset,
     return Verdict(True, certificate=ChainDecomposition(g, ordered))
 
 
-def check_weak_conditions(g: GradedPoset,
-                          chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> tuple[bool, bool]:
+def check_weak_conditions(g: GradedPoset) -> tuple[bool, bool]:
     """The weakened recombination conditions: the recombined chain may
     run anywhere in the poset, so a pair holds exactly when c1's start
     lies below c2's end.  Each instance is then a test on two element
-    sets: every rank-i element below c1's top lies strictly below every
-    end that c2 can reach.  ``chain_pairs`` bounds the ends tested.
-    Vacuously true when no chain decomposition exists."""
+    sets, linear in the layer widths: every rank-i element below c1's
+    top lies strictly below every end that c2 can reach.  Vacuously
+    true when no chain decomposition exists."""
     chains, _ = _first_decomposition(g)
     if chains is None:
         return True, True
     t = _Tables(g)
-    budget = _StateBudget(chain_pairs)
     ok = {3: True, 4: True}
     for cond, _, i, bottom, top, _, span, w in _cases(g, t, chains):
         if ok[cond]:
             starts = t.below[top] & t.rank_mask[i]
             ends = t.rank_mask[i + span] if w is None else 1 << w
-            budget.tick(ends.bit_count())
             ok[cond] = all(starts & ~t.below[e] == 0 for e in _bits(ends)
                            if t.below[e] >> bottom & 1)
     return ok[3], ok[4]
@@ -382,8 +359,7 @@ def _label_order(g: GradedPoset, chains) -> list[int] | None:
     return order if len(order) == len(chains) else None
 
 
-def check_cm_structural(g: GradedPoset,
-                        chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> Verdict:
+def check_cm_structural(g: GradedPoset) -> Verdict:
     """Cohen-Macaulayness: equal counts of minimal and maximal elements,
     a chain decomposition, the recombination conditions, and a chain
     labeling of that decomposition monotone along covers (a poset with
@@ -395,7 +371,7 @@ def check_cm_structural(g: GradedPoset,
     if p1 != nmax:
         return Verdict(False, witness={"condition": 1,
                                        "minimal": p1, "maximal": nmax})
-    chains, witness = _chain_conditions(g, chain_pairs)
+    chains, witness = _chain_conditions(g)
     if chains is None:
         return Verdict(False, witness=witness)
     order = _label_order(g, chains)
@@ -480,15 +456,14 @@ def has_linear_resolution_structural(g: GradedPoset) -> Verdict:
     return Verdict(True, certificate={"layers": layers})
 
 
-def is_bi_cm(g: GradedPoset, iso_budget: int | None = None,
-             chain_pairs: int = DEFAULT_CHAIN_PAIRS) -> Verdict:
+def is_bi_cm(g: GradedPoset, iso_budget: int | None = None) -> Verdict:
     """Cohen-Macaulay with a linear resolution; when true the certificate
     holds the isomorphism onto the two-chain letterplace grid of the
     poset's dimensions, read off the Cohen-Macaulay chains.
 
     ``iso_budget`` is ignored: no isomorphism is searched for.  It stays
     only while the benchmark's structural workload still passes it."""
-    cm = check_cm_structural(g, chain_pairs)
+    cm = check_cm_structural(g)
     lr = has_linear_resolution_structural(g) if cm.value else None
     return _bi_cm_verdict(g, cm, lr)
 
@@ -590,9 +565,11 @@ def classification_report(p: Poset | GradedPoset, f=None,
     with the homological oracles, plus per-layer summaries.
 
     For ungraded input only the gradedness flag is meaningful; the other
-    fields are null.
+    fields are null.  ``budgets`` may set ``cover_enum`` and
+    ``betti_vars``; any other key raises ``InvalidParameter``.
     """
-    from .covers import DEFAULT_COVER_BUDGET, is_unmixed_bruteforce
+    from .covers import (DEFAULT_COVER_BUDGET, check_cover_budget,
+                         is_unmixed_bruteforce)
     from .fields import GF2
     from .homology import DEFAULT_BETTI_VARS, oracle_verdicts
     from .ideals import flag_ideal
@@ -602,10 +579,11 @@ def classification_report(p: Poset | GradedPoset, f=None,
     b = {
         "cover_enum": DEFAULT_COVER_BUDGET,
         "betti_vars": DEFAULT_BETTI_VARS,
-        "chain_pairs": DEFAULT_CHAIN_PAIRS,
     }
-    if budgets:
-        b.update(budgets)
+    unknown = sorted(set(budgets or ()) - set(b))
+    if unknown:
+        raise InvalidParameter(f"unknown budgets: {', '.join(unknown)}")
+    b.update(budgets or {})
     poset = p.poset if isinstance(p, GradedPoset) else p
     g = p if isinstance(p, GradedPoset) else rank_function(poset)
     report: dict = {
@@ -626,17 +604,15 @@ def classification_report(p: Poset | GradedPoset, f=None,
     }
     if g is None:
         return report
-    ideal = flag_ideal(g)
-    unmixed_s = check_unmixed_structural(g, b["chain_pairs"])
-    cm_s = check_cm_structural(g, b["chain_pairs"])
+    unmixed_s = check_unmixed_structural(g)
+    cm_s = check_cm_structural(g)
     lr_s = has_linear_resolution_structural(g)
     bi = _bi_cm_verdict(g, cm_s, lr_s)
-    # both oracles are exponential, so both size budgets fire before
-    # either starts, the transversal one (as in minimal_transversals)
-    # first and the Betti one at the start of oracle_verdicts
-    if len(poset) > b["cover_enum"]:
-        raise BudgetExceeded(f"transversal enumeration limited to "
-                             f"{b['cover_enum']} vertices")
+    # the flag ideal lists every maximal chain, so the transversal budget
+    # fires before it and both oracles; the Betti one fires at the start
+    # of oracle_verdicts
+    check_cover_budget(len(poset), b["cover_enum"])
+    ideal = flag_ideal(g)
     cm_o, lr_o = oracle_verdicts(ideal, f, b["betti_vars"])
     unmixed_o = is_unmixed_bruteforce(g, b["cover_enum"])
     report.update({
@@ -664,7 +640,7 @@ def classification_report(p: Poset | GradedPoset, f=None,
         trimmed = layer_pair(g, i, trim=True)
         layers.append({
             "ranks": [i, i + 1],
-            "unmixed": check_unmixed_structural(sub, b["chain_pairs"]).value,
+            "unmixed": check_unmixed_structural(sub).value,
             "ferrers": is_ferrers(untrimmed).value,
             "herzog_hibi_cm": herzog_hibi_bipartite_cm(trimmed).value,
         })

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--example")
     _add_field(p_classify)
     _add_format(p_classify)
-    _add_budgets(p_classify, "cover_enum", "betti_vars", "chain_pairs")
+    _add_budgets(p_classify, "cover_enum", "betti_vars")
     p_classify.set_defaults(func=cmd_classify)
 
     p_betti = sub.add_parser("betti", help="Betti table or one polynomial")

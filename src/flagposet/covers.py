@@ -32,6 +32,15 @@ class IndependentSet:
     elements: frozenset[str]
 
 
+def check_cover_budget(size: int, budget: int) -> None:
+    """Raise BudgetExceeded if a transversal enumeration over ``size``
+    vertices exceeds ``budget``.  Callers that list maximal chains as
+    the hyperedges check first, since that listing is exponential too."""
+    if size > budget:
+        raise BudgetExceeded(
+            f"transversal enumeration limited to {budget} vertices")
+
+
 def minimal_transversals(edges: Iterable[frozenset],
                          universe: Sequence[str],
                          budget: int = DEFAULT_COVER_BUDGET) -> list[frozenset]:
@@ -46,9 +55,7 @@ def minimal_transversals(edges: Iterable[frozenset],
     branched on is a candidate only in its later siblings' subtrees, so
     no set is reached twice.  An empty hyperedge is unsatisfiable.
     """
-    if len(universe) > budget:
-        raise BudgetExceeded(
-            f"transversal enumeration limited to {budget} vertices")
+    check_cover_budget(len(universe), budget)
     order = {v: i for i, v in enumerate(universe)}
     edge_masks = sorted({sum(1 << order[v] for v in e) for e in edges})
     if 0 in edge_masks:
@@ -107,6 +114,7 @@ def is_vertex_cover(g: GradedPoset, candidate: Iterable[str]) -> bool:
 def minimal_vertex_covers(g: GradedPoset,
                           budget: int = DEFAULT_COVER_BUDGET) -> list[VertexCover]:
     """All minimal transversals of the maximal-chain hypergraph."""
+    check_cover_budget(len(g.elements), budget)
     covers = minimal_transversals(_chain_sets(g), g.elements, budget)
     return [VertexCover(c, minimal=True) for c in covers]
 

@@ -422,11 +422,6 @@ def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     return _cm_verdict(ideal, table, f, budget), _linear_verdict(ideal, table)
 
 
-def is_cm_poset_oracle(g: GradedPoset, f: FieldSpec = GF2,
-                       budget: int = DEFAULT_BETTI_VARS) -> bool:
-    return is_cm_oracle(flag_ideal(g), f, budget)
-
-
 def first_strand_multidegrees(g: GradedPoset) -> Callable[[Iterable[str]], bool]:
     """Predicate for multidegrees on the first linear strand.
 

@@ -284,20 +284,6 @@ class Chain:
         return iter(self.elements)
 
 
-def make_chain(p: Poset | GradedPoset, elems) -> Chain:
-    """Build a chain, computing its saturation/maximality flags."""
-    poset = p.poset if isinstance(p, GradedPoset) else p
-    elems = tuple(elems)
-    for a, b in zip(elems, elems[1:]):
-        if not poset.less(a, b):
-            raise InvalidParameter(f"not a chain: {a} !< {b}")
-    saturated = all(poset.is_cover(a, b) for a, b in zip(elems, elems[1:]))
-    maximal = (saturated and bool(elems)
-               and not poset.parents(elems[0])
-               and not poset.children(elems[-1]))
-    return Chain(elems, saturated, maximal)
-
-
 def maximal_chains(p: Poset | GradedPoset) -> list[Chain]:
     """All maximal chains, sorted lexicographically by id sequence."""
     poset = p.poset if isinstance(p, GradedPoset) else p

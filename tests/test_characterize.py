@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import flagposet as fp
-from flagposet.errors import BudgetExceeded, InvalidCertificate
+from flagposet.errors import BudgetExceeded, InvalidCertificate, InvalidParameter
 
 from conftest import corpus_poset, sweep_layer, sweep_poset
 
@@ -246,7 +246,7 @@ def _condition4(g, chains, weak):
     return True, None
 
 
-def _reference_chain_conditions(g, chain_pairs):
+def _reference_chain_conditions(g):
     from flagposet import characterize
     chains, bad = characterize._first_decomposition(g)
     if chains is None:
@@ -324,9 +324,9 @@ def test_chain_conditions_equal_pair_enumeration(monkeypatch, corpus_b,
     got = [_structural_json(g) for g in posets]
     memo = {}  # the unmixed and CM checks share one reference run
 
-    def reference(g, chain_pairs):
+    def reference(g):
         if id(g) not in memo:
-            memo[id(g)] = _reference_chain_conditions(g, chain_pairs)
+            memo[id(g)] = _reference_chain_conditions(g)
         return memo[id(g)]
 
     monkeypatch.setattr(characterize, "_chain_conditions", reference)
@@ -341,36 +341,10 @@ def test_chain_conditions_equal_pair_enumeration(monkeypatch, corpus_b,
     assert counts == failing
 
 
-def test_chain_pair_budget_counts_automaton_states(monkeypatch):
-    from flagposet import characterize
-    budgets = []
-
-    class Recording(characterize._StateBudget):
-        def __init__(self, limit):
-            super().__init__(limit)
-            budgets.append(self)
-
-    monkeypatch.setattr(characterize, "_StateBudget", Recording)
-    g = fp.hom_rt_poset(4, 4)
-    full = fp.check_cm_structural(g)
-    states = budgets[-1].used
-    assert states == 36
-    assert fp.check_cm_structural(g, chain_pairs=states) == full
-    for limit in (1, 10, states - 1):
-        budgets.clear()
-        with pytest.raises(BudgetExceeded,
-                           match=f"exceeded {limit} states"):
-            fp.check_cm_structural(g, chain_pairs=limit)
-        # states are counted before they are expanded, a group of one
-        # c1 element (at most a layer's width of 4) at a time
-        assert limit < budgets[-1].used <= limit + 4
-
-
 def test_grids_pass_the_chain_conditions_at_default_budgets():
     v = fp.is_bi_cm(fp.hom_rt_poset(8, 8))
     assert v.value and v.certificate["hom_parameters"] == (8, 8)
-    assert fp.check_cm_structural(fp.hom_rt_poset(10, 10),
-                                  chain_pairs=50_000).value
+    assert fp.check_cm_structural(fp.hom_rt_poset(10, 10)).value
 
 
 def test_chain_decomposition_validation():
@@ -637,3 +611,14 @@ def test_classification_report_checks_size_budgets_first(monkeypatch):
                        match="transversal enumeration limited to 10 vertices"):
         fp.classification_report(fp.hom_rt_poset(4, 4),
                                  budgets={"cover_enum": 10})
+
+
+def test_classification_report_rejects_unknown_budgets():
+    # a budget the report does not read would otherwise be ignored
+    g = fp.example_3_4()
+    for budgets in ({"chain_pairs": 5}, {"cover_enum": 50, "iso": 1}):
+        with pytest.raises(InvalidParameter, match="unknown budgets"):
+            fp.classification_report(g, budgets=budgets)
+    assert (fp.classification_report(g, budgets={"cover_enum": 50,
+                                                 "betti_vars": 50})
+            == fp.classification_report(g))

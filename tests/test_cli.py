@@ -164,12 +164,22 @@ def test_classify_grid_stops_at_the_transversal_budget(capsys, grid):
                                        "enumeration limited to 24 vertices\n")
 
 
-def test_classify_stops_at_the_chain_pair_budget(capsys):
-    code, text = run(["classify", "--example", "hom:3,3",
-                      "--budget-chain-pairs", "1"])
+def test_transversal_budget_fires_before_maximal_chains(monkeypatch, capsys):
+    # listing the maximal chains is exponential too, so neither the
+    # report nor the vertex covers start it past the vertex budget
+    from flagposet import covers, ideals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximal chains listed before the budget")
+    monkeypatch.setattr(covers, "maximal_chains", refuse)
+    monkeypatch.setattr(ideals, "maximal_chains", refuse)
+    code, text = run(["classify", "--example", "hom:5,5"])
     assert code == 2 and text == ""
-    assert capsys.readouterr().err == ("budget exceeded: chain-condition "
-                                       "automaton exceeded 1 states\n")
+    assert capsys.readouterr().err == ("budget exceeded: transversal "
+                                       "enumeration limited to 24 vertices\n")
+    with pytest.raises(fp.BudgetExceeded,
+                       match="transversal enumeration limited to 24 vertices"):
+        fp.is_unmixed_bruteforce(fp.hom_rt_poset(5, 5))
 
 
 def _readme_flag_table():
@@ -218,7 +228,8 @@ def test_output_bytes_deterministic():
 
 
 # Flags that look global, each with a valid value, and the subcommands
-# that take them; no subcommand takes --pretty or --budget-matching-nodes.
+# that take them; no subcommand takes --pretty, --budget-matching-nodes
+# or --budget-chain-pairs.
 FLAG_VALUES = {
     "--field": ["gf2"], "--seed": ["1"], "--format": ["text"],
     "--pretty": [], "--budget-cover-enum": ["50"],
@@ -227,7 +238,7 @@ FLAG_VALUES = {
 }
 READS = {
     "classify": {"--field", "--format", "--budget-cover-enum",
-                 "--budget-betti-vars", "--budget-chain-pairs"},
+                 "--budget-betti-vars"},
     "betti": {"--field", "--format", "--budget-betti-vars"},
     "generate": {"--seed"},
     "isomorphic": {"--format", "--budget-iso-elements"},
@@ -277,7 +288,7 @@ def test_usage_errors_exit_1(capsys):
     usage_error(["frobnicate"], capsys)
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--help"])
-    assert exc.value.code == 0 and "--budget-chain-pairs" in \
+    assert exc.value.code == 0 and "--budget-cover-enum" in \
         capsys.readouterr().out
 
 
@@ -289,5 +300,5 @@ def test_csv_rejected_for_one_multidegree():
 
 def test_nonpositive_budget_rejected():
     code, text = run(["classify", "--example", "3.4",
-                      "--budget-chain-pairs", "0"])
+                      "--budget-cover-enum", "0"])
     assert code == 1 and text == ""
