@@ -78,10 +78,6 @@ class ChainDecomposition:
         if seen != set(g.elements):
             raise InvalidCertificate("chains must cover the poset")
 
-    def rank_ordering(self, i: int) -> tuple[str, ...]:
-        """Rank-i elements in chain-label order."""
-        return tuple(c[i - 1] for c in self.chains if len(c) >= i)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -123,17 +119,6 @@ def _kuhn(tops, neighbors, match: dict[str, str]) -> bool:
     return all(augment(t, set()) for t in tops)
 
 
-def _assemble_chains(g: GradedPoset,
-                     up: dict[str, str]) -> tuple[tuple[str, ...], ...]:
-    chains = []
-    for e in g.layer(1) if g.rbar() >= 1 else ():
-        c = [e]
-        while c[-1] in up:
-            c.append(up[c[-1]])
-        chains.append(tuple(c))
-    return tuple(chains)
-
-
 def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | None, int]:
     """One chain decomposition, or (None, offending layer index): layer
     by layer, every rank-(i+1) element is matched to a distinct parent,
@@ -144,7 +129,13 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
         if (len(g.trimmed_layer(i)) != len(tops)
                 or not _kuhn(tops, g.poset.parents, up)):
             return None, i
-    return _assemble_chains(g, up), 0
+    chains = []
+    for e in g.layer(1) if g.rbar() >= 1 else ():
+        c = [e]
+        while c[-1] in up:
+            c.append(up[c[-1]])
+        chains.append(tuple(c))
+    return tuple(chains), 0
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +158,9 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
 # element, c2's element) of one rank that have not met, at most w^2 per
 # rank for layer width w; a pair that meets can no longer fail and is
 # dropped, and a c2 that cannot reach its end dies out before the last
-# rank, the only place a failure is read.
+# rank, the only place a failure is read.  Everything runs on the index
+# tables that ``posets`` keeps of the Hasse diagram: child and parent
+# indices, child masks, down-sets and rank masks.
 
 def _bits(m: int):
     while m:
@@ -176,50 +169,23 @@ def _bits(m: int):
         m ^= low
 
 
-class _Tables:
-    """Index tables of one graded poset, read off its public API: per
-    element index its children (in stored order) and parents, and as
-    bitmasks its children and the elements at or below it; per rank the
-    mask of its elements."""
-
-    def __init__(self, g: GradedPoset):
-        self.names = g.elements
-        self.index = {e: x for x, e in enumerate(self.names)}
-        self.kids = [tuple(self.index[c] for c in g.poset.children(e))
-                     for e in self.names]
-        self.pars = [[] for _ in self.names]
-        for x, ks in enumerate(self.kids):
-            for y in ks:
-                self.pars[y].append(x)
-        self.kmask = [sum(1 << y for y in ks) for ks in self.kids]
-        layers = [[self.index[e] for e in g.layer(i)]
-                  for i in range(1, g.rbar() + 1)]
-        self.rank_mask = [0] + [sum(1 << x for x in xs) for xs in layers]
-        self.below = [0] * len(self.names)
-        for xs in layers:
-            for x in xs:
-                m = 1 << x
-                for y in self.pars[x]:
-                    m |= self.below[y]
-                self.below[x] = m
-
-
-def _cases(g: GradedPoset, t: _Tables, chains):
+def _cases(g: GradedPoset, chains):
     """The instances of conditions 3 and 4 in checking order, each as
     (condition, chain, i, bottom, top, height, span, w): c1 runs
     ``height`` covers from rank i up to ``top``, and c2 ``span`` covers
     up from the chain's rank-i element ``bottom`` to any element (``w``
     None) or to the maximal element ``w``."""
+    index = g.poset.index
     for chain in chains:
-        c = [t.index[e] for e in chain]
+        c = [index(e) for e in chain]
         for i in range(1, len(c) + 1):
             for j in range(i + 1, len(c) + 1):
                 yield 3, chain, i, c[i - 1], c[j - 1], j - i, j - i, None
     maxes: dict[int, list[int]] = {}
     for e in g.poset.maximal_elements():
-        maxes.setdefault(g.rank[e], []).append(t.index[e])
+        maxes.setdefault(g.rank[e], []).append(index(e))
     for chain in chains:
-        c = [t.index[e] for e in chain]
+        c = [index(e) for e in chain]
         for i in range(1, len(c) - 1):
             for k in range(i + 2, len(c) + 1):
                 for j in range(i + 1, k):
@@ -227,12 +193,13 @@ def _cases(g: GradedPoset, t: _Tables, chains):
                         yield 4, chain, i, c[i - 1], c[k - 1], k - i, j - i, w
 
 
-def _fails(t: _Tables, amasks, bmasks, ends: int) -> bool:
+def _fails(p: Poset, amasks, bmasks, ends: int) -> bool:
     """Run the automaton over ``len(amasks)`` covers, c1 and c2 keeping
     to ``amasks[l]`` and ``bmasks[l]`` at level l and c2 ending in
     ``ends``; True if some pair fails.  Every element of ``amasks[l]``
     must have a child in the next level's set (or in c1's element above
     the last level), so that each state extends to a whole c1."""
+    kmask, kids = p.child_masks, p.child_indices
     span = len(amasks)
     states = {a: bmasks[0] & ~(1 << a) for a in _bits(amasks[0])}
     for level in range(1, span + 1):
@@ -240,49 +207,53 @@ def _fails(t: _Tables, amasks, bmasks, ends: int) -> bool:
         for a, bs in states.items():
             step = 0
             for b in _bits(bs):
-                step |= t.kmask[b]
-            step &= ~t.kmask[a]
+                step |= kmask[b]
+            step &= ~kmask[a]
             if level == span:
                 if step & ends:
                     return True
                 continue
             step &= bmasks[level]
             if step:
-                for a2 in t.kids[a]:
+                for a2 in kids[a]:
                     if amasks[level] >> a2 & 1:
                         nxt[a2] = nxt.get(a2, 0) | step
         states = nxt
     return False
 
 
-def _failing_pair(t: _Tables, i: int, bottom: int, top: int, height: int,
-                  span: int, w: int | None) -> tuple[list[str], list[str]] | None:
+def _failing_pair(g: GradedPoset, i: int, bottom: int, top: int,
+                  height: int, span: int,
+                  w: int | None) -> tuple[list[str], list[str]] | None:
     """The first failing (c1, c2) of one instance in enumeration order,
     or None.  Pairs are ordered by c1, built from the top down through
     parents in stored order, then by c2, built from the bottom up
     through children; each element is the first whose choice still has
     a failing completion, which the automaton decides."""
-    ends = t.rank_mask[i + span] if w is None else 1 << w
-    bmask = -1 if w is None else t.below[w]
+    p, below, rank_masks = g.poset, g.poset.down_sets, g.rank_masks
+    ends = rank_masks[i + span] if w is None else 1 << w
+    bmask = -1 if w is None else below[w]
 
     def fails(c1: list[int], c2: list[int]) -> bool:
         fixed = height - len(c1)  # c1 is fixed above this level
         amasks = [1 << c1[height - lv] if lv > fixed
-                  else t.below[c1[-1]] & t.rank_mask[i + lv]
+                  else below[c1[-1]] & rank_masks[i + lv]
                   for lv in range(span)]
         bmasks = [(1 << c2[lv] if lv < len(c2) else -1) & bmask
                   for lv in range(span)]
-        return _fails(t, amasks, bmasks,
+        return _fails(p, amasks, bmasks,
                       (1 << c2[span] if len(c2) > span else -1) & ends)
 
     c1, c2 = [top], [bottom]
     if not fails(c1, c2):
         return None
     while len(c1) <= height:
-        c1.append(next(x for x in t.pars[c1[-1]] if fails(c1 + [x], c2)))
+        c1.append(next(x for x in p.parent_indices[c1[-1]]
+                       if fails(c1 + [x], c2)))
     while len(c2) <= span:
-        c2.append(next(y for y in t.kids[c2[-1]] if fails(c1, c2 + [y])))
-    return [t.names[x] for x in reversed(c1)], [t.names[y] for y in c2]
+        c2.append(next(y for y in p.child_indices[c2[-1]]
+                       if fails(c1, c2 + [y])))
+    return [p.elements[x] for x in reversed(c1)], [p.elements[y] for y in c2]
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +269,13 @@ def _chain_conditions(g: GradedPoset) -> tuple[tuple | None, dict | None]:
     chains, bad = _first_decomposition(g)
     if chains is None:
         return None, {"condition": 2, "layer": bad}
-    t = _Tables(g)
-    for cond, chain, *case in _cases(g, t, chains):
-        pair = _failing_pair(t, *case)
+    for cond, chain, *case in _cases(g, chains):
+        pair = _failing_pair(g, *case)
         if pair:
             witness = {"condition": cond, "through": chain,
                        "chain1": pair[0], "chain2": pair[1]}
             if cond == 4:
-                witness["maximal"] = t.names[case[-1]]
+                witness["maximal"] = g.elements[case[-1]]
             return None, witness
     return chains, None
 
@@ -336,14 +306,14 @@ def check_weak_conditions(g: GradedPoset) -> tuple[bool, bool]:
     chains, _ = _first_decomposition(g)
     if chains is None:
         return True, True
-    t = _Tables(g)
+    below = g.poset.down_sets
     ok = {3: True, 4: True}
-    for cond, _, i, bottom, top, _, span, w in _cases(g, t, chains):
+    for cond, _, i, bottom, top, _, span, w in _cases(g, chains):
         if ok[cond]:
-            starts = t.below[top] & t.rank_mask[i]
-            ends = t.rank_mask[i + span] if w is None else 1 << w
-            ok[cond] = all(starts & ~t.below[e] == 0 for e in _bits(ends)
-                           if t.below[e] >> bottom & 1)
+            starts = below[top] & g.rank_masks[i]
+            ends = g.rank_masks[i + span] if w is None else 1 << w
+            ok[cond] = all(starts & ~below[e] == 0 for e in _bits(ends)
+                           if below[e] >> bottom & 1)
     return ok[3], ok[4]
 
 

@@ -102,20 +102,32 @@ def minimal_transversals(edges: Iterable[frozenset],
             for m in kernel.size_lex_sorted(found)]
 
 
-def _chain_sets(g: GradedPoset) -> list[frozenset]:
-    return [frozenset(c.elements) for c in maximal_chains(g)]
-
-
 def is_vertex_cover(g: GradedPoset, candidate: Iterable[str]) -> bool:
-    cset = set(candidate)
-    return all(cset & c for c in _chain_sets(g))
+    """True iff ``candidate`` meets every maximal chain, i.e. no rank-1
+    element outside it reaches a maximal element through elements
+    outside it: one pass over the child masks, listing no chain.
+    Raises ``UnknownElement`` on a name not in ``g``."""
+    cover = 0
+    for e in candidate:
+        cover |= 1 << g.poset.index(e)
+    kids = g.poset.child_masks
+    todo = g.rank_masks[1] & ~cover if g.rbar() else 0
+    while todo:
+        low = todo & -todo
+        cover |= low  # a visited element is not visited again
+        children = kids[low.bit_length() - 1]
+        if not children:
+            return False
+        todo = (todo | children) & ~cover
+    return True
 
 
 def minimal_vertex_covers(g: GradedPoset,
                           budget: int = DEFAULT_COVER_BUDGET) -> list[VertexCover]:
     """All minimal transversals of the maximal-chain hypergraph."""
     check_cover_budget(len(g.elements), budget)
-    covers = minimal_transversals(_chain_sets(g), g.elements, budget)
+    chains = [frozenset(c.elements) for c in maximal_chains(g)]
+    covers = minimal_transversals(chains, g.elements, budget)
     return [VertexCover(c, minimal=True) for c in covers]
 
 

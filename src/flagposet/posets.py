@@ -60,10 +60,17 @@ def topological_order(succ) -> list[int]:
 
 
 class Poset:
-    """A finite poset with elements in a fixed order and validated covers."""
+    """A finite poset with elements in a fixed order and validated covers.
 
-    __slots__ = ("elements", "covers", "_index", "_children", "_parents",
-                 "_descendants", "_minimal", "_maximal")
+    Besides the names, the Hasse diagram is kept as read-only tables
+    indexed by element position: ``child_indices`` and
+    ``parent_indices`` (ascending), ``child_masks`` (the children as a
+    bitmask) and ``down_sets`` (each element with everything below it,
+    as a bitmask)."""
+
+    __slots__ = ("elements", "covers", "child_indices", "parent_indices",
+                 "child_masks", "down_sets", "_index", "_minimal",
+                 "_maximal")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -86,15 +93,17 @@ class Poset:
             if (p, q) in cover_set:
                 raise InvalidParameter(f"duplicate cover: {p} < {q}")
             cover_set.add((p, q))
-            norm.append((p, q))
-        norm.sort(key=lambda c: (index[c[0]], index[c[1]]))
+            norm.append((index[p], index[q]))
+        norm.sort()
 
         n = len(elements)
         children = [[] for _ in range(n)]
         parents = [[] for _ in range(n)]
-        for p, q in norm:
-            children[index[p]].append(index[q])
-            parents[index[q]].append(index[p])
+        kids = [0] * n
+        for i, j in norm:
+            children[i].append(j)
+            parents[j].append(i)
+            kids[i] |= 1 << j
 
         topo = topological_order(children)
         if len(topo) != n:
@@ -102,27 +111,31 @@ class Poset:
             bad = [elements[i] for i in range(n) if i not in placed]
             raise CycleDetected(f"cover digraph has a cycle through {bad}")
 
-        # Strict descendants by reverse topological DP; a cover (p, q) is
-        # redundant iff q is reachable from p through some other child.
-        desc = [0] * n
-        for u in reversed(topo):
-            m = 0
-            for v in children[u]:
-                m |= (1 << v) | desc[v]
-            desc[u] = m
-        for p, q in norm:
-            i, j = index[p], index[q]
-            for v in children[i]:
-                if v != j and (desc[v] >> j) & 1:
-                    raise RedundantCover(
-                        f"cover {p} < {q} is implied by a longer path")
+        # Down-sets in topological order.  A cover (p, q) is redundant iff
+        # another parent of q lies above p, i.e. p lies in the strict
+        # down-set of a parent of q; the first in cover order is named.
+        down = [0] * n
+        redundant = 0
+        for u in topo:
+            below = ups = 0
+            for v in parents[u]:
+                below |= down[v] ^ 1 << v
+                ups |= 1 << v
+            redundant |= below & ups
+            down[u] = below | ups | 1 << u
+        if redundant:
+            i, j = next((i, j) for i, j in norm for v in parents[j]
+                        if v != i and down[v] >> i & 1)
+            raise RedundantCover(f"cover {elements[i]} < {elements[j]} is "
+                                 "implied by a longer path")
 
         self.elements = elements
-        self.covers = tuple(norm)
+        self.covers = tuple((elements[i], elements[j]) for i, j in norm)
+        self.child_indices = tuple(tuple(c) for c in children)
+        self.parent_indices = tuple(tuple(pr) for pr in parents)
+        self.child_masks = tuple(kids)
+        self.down_sets = tuple(down)
         self._index = index
-        self._children = tuple(tuple(c) for c in children)
-        self._parents = tuple(tuple(pr) for pr in parents)
-        self._descendants = tuple(desc)
         self._minimal = tuple(elements[i] for i in range(n) if not parents[i])
         self._maximal = tuple(elements[i] for i in range(n) if not children[i])
 
@@ -149,10 +162,12 @@ class Poset:
         return e in self._index
 
     def children(self, e: str) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in self._children[self.index(e)])
+        return tuple(self.elements[i]
+                     for i in self.child_indices[self.index(e)])
 
     def parents(self, e: str) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in self._parents[self.index(e)])
+        return tuple(self.elements[i]
+                     for i in self.parent_indices[self.index(e)])
 
     def minimal_elements(self) -> tuple[str, ...]:
         return self._minimal
@@ -162,13 +177,14 @@ class Poset:
 
     def less(self, a: str, b: str) -> bool:
         """Strict order a < b."""
-        return bool((self._descendants[self.index(a)] >> self.index(b)) & 1)
+        return self.leq(a, b) and a != b
 
     def leq(self, a: str, b: str) -> bool:
-        return a == b or self.less(a, b)
+        i = self.index(a)
+        return bool(self.down_sets[self.index(b)] >> i & 1)
 
     def is_cover(self, a: str, b: str) -> bool:
-        return self.index(b) in self._children[self.index(a)]
+        return self.index(b) in self.child_indices[self.index(a)]
 
 
 def build_poset(elements, cover_pairs) -> Poset:
@@ -182,9 +198,11 @@ class GradedPoset:
     Ranks are positive integers, minimal elements have rank 1 and covers
     raise the rank by exactly 1; the constructor validates all of this,
     so re-deriving the rank function always reproduces ``rank``.
+    ``rank_masks[i]`` is the bitmask, over element positions, of the
+    rank-i elements (``rank_masks[0]`` is 0).
     """
 
-    __slots__ = ("poset", "rank", "_layers")
+    __slots__ = ("poset", "rank", "rank_masks", "_layers")
 
     def __init__(self, poset: Poset, rank: dict[str, int]):
         for e in poset.elements:
@@ -205,10 +223,14 @@ class GradedPoset:
         self.poset = poset
         self.rank = dict(rank)
         rbar = max(rank.values()) if rank else 0
-        layers = [()] * (rbar + 1)
-        for i in range(1, rbar + 1):
-            layers[i] = tuple(e for e in poset.elements if rank[e] == i)
-        self._layers = tuple(layers)
+        layers = [[] for _ in range(rbar + 1)]
+        masks = [0] * (rbar + 1)
+        for x, e in enumerate(poset.elements):
+            r = rank[e]
+            layers[r].append(e)
+            masks[r] |= 1 << x
+        self._layers = tuple(tuple(layer) for layer in layers)
+        self.rank_masks = tuple(masks)
 
     # -- delegation -------------------------------------------------
     @property
@@ -261,8 +283,8 @@ def rank_function(p: Poset) -> GradedPoset | None:
     connected component; any inconsistency means the poset is ungraded.
     """
     rank = [0] * len(p)
-    for u in topological_order(p._children):
-        values = {rank[v] + 1 for v in p._parents[u]} or {1}
+    for u in topological_order(p.child_indices):
+        values = {rank[v] + 1 for v in p.parent_indices[u]} or {1}
         if len(values) > 1:
             return None
         rank[u] = values.pop()
@@ -348,13 +370,8 @@ def rank_selection(g: GradedPoset, ranks) -> GradedPoset:
         raise InvalidParameter(f"ranks {S} outside 1..{g.rbar()}")
     pos = {r: k + 1 for k, r in enumerate(S)}
     keep = [e for e in g.elements if g.rank[e] in pos]
-    covers = []
-    for k in range(len(S) - 1):
-        lo, hi = S[k], S[k + 1]
-        for a in g.layer(lo):
-            for b in g.layer(hi):
-                if g.poset.less(a, b):
-                    covers.append((a, b))
+    covers = [(a, b) for lo, hi in zip(S, S[1:]) for a in g.layer(lo)
+              for b in g.layer(hi) if g.poset.less(a, b)]
     sub = Poset(keep, covers)
     return GradedPoset(sub, {e: pos[g.rank[e]] for e in keep})
 
@@ -416,9 +433,7 @@ def connected_components(p: Poset | GradedPoset) -> list[Poset]:
         comp[start] = ncomp
         while stack:
             u = stack.pop()
-            e = poset.elements[u]
-            for w in poset.children(e) + poset.parents(e):
-                j = poset.index(w)
+            for j in poset.child_indices[u] + poset.parent_indices[u]:
                 if comp[j] < 0:
                     comp[j] = ncomp
                     stack.append(j)
@@ -461,12 +476,10 @@ def letterplace_poset(n: int, q: Poset | GradedPoset) -> GradedPoset:
         raise InvalidParameter("letterplace needs n >= 1")
     qp = q.poset if isinstance(q, GradedPoset) else q
     elems = [f"x{i}_{a}" for i in range(1, n + 1) for a in qp.elements]
-    covers = []
-    for i in range(1, n):
-        for a in qp.elements:
-            for b in qp.elements:
-                if qp.leq(a, b):
-                    covers.append((f"x{i}_{a}", f"x{i + 1}_{b}"))
+    pairs = [(a, b) for x, a in enumerate(qp.elements)
+             for b, down in zip(qp.elements, qp.down_sets) if down >> x & 1]
+    covers = [(f"x{i}_{a}", f"x{i + 1}_{b}") for i in range(1, n)
+              for a, b in pairs]
     rank = {f"x{i}_{a}": i for i in range(1, n + 1) for a in qp.elements}
     return GradedPoset(Poset(elems, covers), rank)
 
@@ -672,8 +685,9 @@ def parse_poset_text(text: str) -> Poset:
     """Parse the poset text format v1.
 
     Line 1 is the magic header, line 2 lists the elements, every further
-    nonempty line declares one cover ``<id> < <id>``.  Duplicate covers
-    and unknown ids are rejected with the offending line number.
+    nonempty line declares one cover ``<id> < <id>``.  Duplicate covers,
+    self-covers and unknown ids are rejected with the offending line
+    number.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAGIC:
@@ -701,6 +715,8 @@ def parse_poset_text(text: str) -> Poset:
             raise ParseError(lineno, f"unknown element: {a}")
         if b not in known:
             raise ParseError(lineno, f"unknown element: {b}")
+        if a == b:
+            raise ParseError(lineno, f"self-cover: {a}")
         if (a, b) in seen:
             raise ParseError(lineno, f"duplicate cover: {a} < {b}")
         seen.add((a, b))

@@ -1,4 +1,7 @@
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -43,6 +46,38 @@ def sweep_layer(bits: int) -> fp.BipartiteLayer:
     bottom = tuple(b for b in BOTTOMS if any(e[0] == b for e in edges))
     top = tuple(t for t in TOPS if any(e[1] == t for e in edges))
     return fp.BipartiteLayer(bottom, top, frozenset(edges))
+
+
+def generated_chain_posets(count):
+    """Seeded posets of 2-4 disjoint chains of 1-4 elements joined by
+    random covers that keep the chains a decomposition, kept when
+    impure or with an isolated rank-1 maximum."""
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        chains = [[f"c{u}_{r}" for r in range(1, n + 1)]
+                  for u, n in enumerate(lengths, 1)]
+        q = rng.choice((0.2, 0.4, 0.6))
+        covers = [(c[r], c[r + 1]) for c in chains for r in range(len(c) - 1)]
+        covers += [(a[r], b[r + 1]) for a in chains for b in chains
+                   if a is not b for r in range(min(len(a), len(b)) - 1)
+                   if rng.random() < q]
+        g = fp.rank_function(fp.build_poset(
+            [e for c in chains for e in c], covers))
+        if not g.is_pure() or 1 in lengths:
+            out.append(g)
+    return out
+
+
+def structural_grids_posets(seed):
+    """The posets of the benchmark's ``structural_grids`` workload."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [g for g, _ in workloads.build_structural_grids(seed)]
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,17 @@
-import importlib.util
 import itertools
-import pathlib
-import random
-import sys
 
 import pytest
 
 import flagposet as fp
 from flagposet.errors import BudgetExceeded, InvalidCertificate, InvalidParameter
 
-from conftest import corpus_poset, sweep_layer, sweep_poset
+from conftest import (
+    corpus_poset,
+    generated_chain_posets,
+    structural_grids_posets,
+    sweep_layer,
+    sweep_poset,
+)
 
 
 def test_unmixed_structural_on_named_examples():
@@ -267,38 +269,6 @@ def _reference_weak_conditions(g):
             _condition4(g, chains, weak=True)[0])
 
 
-def _generated_chain_posets(count):
-    """Seeded posets of 2-4 disjoint chains of 1-4 elements joined by
-    random covers that keep the chains a decomposition, kept when
-    impure or with an isolated rank-1 maximum."""
-    rng = random.Random(20261018)
-    out = []
-    while len(out) < count:
-        lengths = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
-        chains = [[f"c{u}_{r}" for r in range(1, n + 1)]
-                  for u, n in enumerate(lengths, 1)]
-        q = rng.choice((0.2, 0.4, 0.6))
-        covers = [(c[r], c[r + 1]) for c in chains for r in range(len(c) - 1)]
-        covers += [(a[r], b[r + 1]) for a in chains for b in chains
-                   if a is not b for r in range(min(len(a), len(b)) - 1)
-                   if rng.random() < q]
-        g = fp.rank_function(fp.build_poset(
-            [e for c in chains for e in c], covers))
-        if not g.is_pure() or 1 in lengths:
-            out.append(g)
-    return out
-
-
-def _structural_grids_posets(seed):
-    """The posets of the benchmark's ``structural_grids`` workload."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return [g for g, _ in workloads.build_structural_grids(seed)]
-
-
 def _structural_json(g):
     from flagposet.characterize import jsonable
     return [jsonable(fp.check_unmixed_structural(g)),
@@ -318,8 +288,8 @@ def test_chain_conditions_equal_pair_enumeration(monkeypatch, corpus_b,
         "sweep": lambda: [sweep_poset(bits, iso) for iso in (False, True)
                           for bits in range(512)],
         "corpus": lambda: corpus_b,
-        "grids": lambda: _structural_grids_posets(1)[::7],
-        "generated": lambda: _generated_chain_posets(200),
+        "grids": lambda: structural_grids_posets(1)[::7],
+        "generated": lambda: generated_chain_posets(200),
     }[pool]()
     got = [_structural_json(g) for g in posets]
     memo = {}  # the unmixed and CM checks share one reference run

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import flagposet as fp
-from flagposet.errors import BudgetExceeded
+from flagposet.errors import BudgetExceeded, UnknownElement
 
 from conftest import corpus_poset, sweep_poset
 
@@ -58,11 +58,68 @@ def brute_minimal_covers(g):
     return [c for c in covers if not any(o < c for o in covers)]
 
 
+def reference_is_vertex_cover(g, candidate):
+    """Independent reference: the candidate meets every listed maximal
+    chain."""
+    cset = set(candidate)
+    return all(cset & set(c.elements) for c in fp.maximal_chains(g))
+
+
 def test_is_vertex_cover():
     g = fp.example_3_4()
     assert fp.is_vertex_cover(g, g.layer(1))
     assert not fp.is_vertex_cover(g, set())
     assert fp.is_vertex_cover(g, {"a1", "b1", "b3", "c3"})
+    assert not fp.is_vertex_cover(fp.antichain(2), {"p1"})
+    with pytest.raises(UnknownElement):
+        fp.is_vertex_cover(g, {"zz"})
+    with pytest.raises(UnknownElement):
+        fp.is_vertex_cover(g, {"a1", "b1", "b3", "c3", "zz"})
+
+
+def test_is_vertex_cover_matches_chain_listing(corpus_b):
+    rng = random.Random(20261019)
+    pool = corpus_b + [sweep_poset(bits, iso) for iso in (False, True)
+                       for bits in range(512)]
+    verdicts = Counter()
+    for k, g in enumerate(pool):
+        elems = list(g.elements)
+        candidates = [set(), set(elems), set(g.poset.minimal_elements()),
+                      set(g.poset.maximal_elements())]
+        candidates += [set(rng.sample(elems, rng.randint(1, len(elems))))
+                       for _ in range(6) if elems]
+        if k < len(corpus_b):
+            # minimal covers, each also with one element taken out
+            for c in fp.minimal_vertex_covers(g):
+                candidates.append(set(c.cover))
+                candidates.append(set(c.cover) - {min(c.cover)})
+        for c in candidates:
+            got = fp.is_vertex_cover(g, c)
+            assert got == reference_is_vertex_cover(g, c), (g, c)
+            verdicts[got] += 1
+    assert verdicts[True] > 3000 and verdicts[False] > 3000
+
+
+def test_is_vertex_cover_lists_no_chains(monkeypatch):
+    from flagposet import covers
+
+    def no_listing(g):
+        raise AssertionError("maximal chains listed")
+
+    monkeypatch.setattr(covers, "maximal_chains", no_listing)
+    g = fp.hom_rt_poset(10, 10)
+    assert fp.is_vertex_cover(g, g.layer(1))
+    assert fp.is_vertex_cover(g, g.layer(10))
+    # a1_1 < a2_1 < ... < a10_1 avoids the rest of layer 1
+    assert not fp.is_vertex_cover(g, set(g.layer(1)) - {"a1_1"})
+    # a maximal chain is a1_{j1} < ... < a10_{j10} with j1 <= ... <= j10;
+    # j_i - i starts >= 0, ends <= 0 and drops by at most 1 per step, so
+    # it is 0 somewhere; a constant j = 5 meets the diagonal only at a5_5
+    diagonal = {f"a{i}_{i}" for i in range(1, 11)}
+    assert fp.is_vertex_cover(g, diagonal)
+    assert not fp.is_vertex_cover(g, diagonal - {"a5_5"})
+    # j = 1, 1, 1, 1, 1, 10, ..., 10 jumps over the antidiagonal
+    assert not fp.is_vertex_cover(g, {f"a{i}_{11 - i}" for i in range(1, 11)})
 
 
 def test_minimal_cover_shapes():

@@ -13,7 +13,12 @@ from flagposet.errors import (
     UnknownElement,
 )
 
-from conftest import corpus_poset
+from conftest import (
+    corpus_poset,
+    generated_chain_posets,
+    structural_grids_posets,
+    sweep_poset,
+)
 
 
 def test_build_two_chain():
@@ -21,6 +26,9 @@ def test_build_two_chain():
     assert p.minimal_elements() == ("a",)
     assert p.maximal_elements() == ("b",)
     assert p.less("a", "b") and not p.less("b", "a")
+    assert p.leq("a", "a") and p.leq("a", "b") and not p.leq("b", "a")
+    with pytest.raises(UnknownElement):
+        p.leq("zz", "zz")
 
 
 def test_build_rejects_cycle():
@@ -50,6 +58,54 @@ def test_topological_order_takes_smallest_ready_vertex():
 def test_build_rejects_redundant_cover():
     with pytest.raises(RedundantCover):
         fp.build_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    # a < c, a < d and b < d are all redundant; the first in cover order
+    # is named
+    with pytest.raises(RedundantCover) as excinfo:
+        fp.build_poset("abcd", [("b", "d"), ("c", "d"), ("a", "d"),
+                                ("b", "c"), ("a", "c"), ("a", "b")])
+    assert str(excinfo.value) == "cover a < c is implied by a longer path"
+
+
+def _reachable(p, e):
+    """Elements at or above e, by a depth-first search over the cover
+    list."""
+    up = {x: [] for x in p.elements}
+    for a, b in p.covers:
+        up[a].append(b)
+    seen, stack = {e}, [e]
+    while stack:
+        for b in up[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
+@pytest.mark.parametrize("pool", ["corpus", "sweep", "grids", "generated"])
+def test_diagram_tables_match_naive_references(corpus_b, pool):
+    posets = {
+        "corpus": lambda: corpus_b,
+        "sweep": lambda: [sweep_poset(bits, iso) for iso in (False, True)
+                          for bits in range(512)],
+        "grids": lambda: structural_grids_posets(1)[::7],
+        "generated": lambda: generated_chain_posets(200),
+    }[pool]()
+    for g in posets:
+        p = g.poset
+        bit = {e: 1 << x for x, e in enumerate(p.elements)}
+        above = {e: _reachable(p, e) for e in p.elements}
+        for x, e in enumerate(p.elements):
+            assert p.down_sets[x] == sum(bit[d] for d in p.elements
+                                         if e in above[d])
+            assert p.child_masks[x] == sum(bit[c] for c in p.children(e))
+            assert p.child_indices[x] == tuple(sorted(
+                p.index(b) for a, b in p.covers if a == e))
+            assert p.parent_indices[x] == tuple(sorted(
+                p.index(a) for a, b in p.covers if b == e))
+            for f in p.elements:
+                assert p.less(e, f) == (f in above[e] and f != e)
+        assert g.rank_masks == (0,) + tuple(
+            sum(bit[e] for e in g.layer(i)) for i in range(1, g.rbar() + 1))
 
 
 def test_build_rejects_unknown_and_duplicates():
@@ -284,6 +340,7 @@ def test_text_round_trip():
     ("# flagposet v1\nelements: a b\na < c\n", 3),
     ("# flagposet v1\nelements: a b\na < b\na < b\n", 4),
     ("# flagposet v1\nelements: a a\n", 2),
+    ("# flagposet v1\nelements: a b\na < b\n\nb < b\n", 5),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
