@@ -117,7 +117,6 @@ from .posets import (
     poset_to_text,
     rank_function,
     rank_selection,
-    saturated_chains_between,
     v_coletterplace_poset,
     v_poset,
 )

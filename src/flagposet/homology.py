@@ -18,21 +18,27 @@ elimination, ``kernel.cohomology_dims``: Gaussian elimination over
 GF(p), fraction-free elimination over QQ.
 
 * Tables (``betti_multidegree``, ``full_betti_table`` and the oracles
-  built on them) use star excision, the first round of an element
-  matching.  For a vertex v of the restriction D_A its star is a cone,
-  so H~*(D_A) = H*(del v, lk v).  The cochains of that pair are the
-  faces F of D_A inside A - v with F + v not a face, i.e. F contains
-  t_k = g_k - v for a generator g_k of I with v in g_k inside A; the
-  coboundary is the usual one with the faces of lk v counting as
-  zero.  v is the vertex of A in the fewest generators inside A,
-  which keeps the pair small; a vertex in none makes D_A a cone and
-  the multidegree zero.  ``kernel.morse_cohomology_dims`` then matches
-  the pair's faces over every other vertex in turn and eliminates only
-  when the unmatched faces span several degrees; on example 4.9 that
-  never happens.  ``full_betti_table`` is one pass over the lcm masks:
-  it finds v from bit-plane counts of the generators inside A, writes
-  the dims vector straight into table entries and builds A's variable
-  set only when it has a nonzero entry.
+  built on them) use iterated star excision, Jonsson's element
+  matching applied again and again.  For a vertex v of the
+  restriction D_A its star is a cone, so H~*(D_A) = H*(del v, lk v).
+  The cochains of that pair are the faces F of D_A inside A - v with
+  F + v not a face, i.e. F contains t_k = g_k - v for a nonface g_k
+  with v in g_k; the coboundary is the usual one with the faces of
+  lk v counting as zero.  When v lies in a single nonface g, the pair
+  is, up to signs and with every cardinality raised by |t|, the
+  complex on A - g whose nonfaces are n - t for the other nonfaces n;
+  so the tables replace D_A by that complex and repeat.  The loop
+  stops at zero for a cone (a vertex in no nonface), a void complex
+  (an empty nonface) or a simplex (no nonface, some vertex left), and
+  at one class for {empty face} (no nonface, no vertex).  When every
+  vertex lies in two or more nonfaces, v is the one in the fewest,
+  and ``kernel.morse_cohomology_dims`` matches the pair's faces over
+  every other vertex in turn, eliminating only when the unmatched
+  faces span several degrees; on example 4.9 that never happens, and
+  its whole table lists about 7 thousand faces.  ``full_betti_table``
+  is one pass over the lcm masks: it writes the dims vector straight
+  into table entries and builds A's variable set only when it has a
+  nonzero entry.
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
   stay the literal Hochster computation on the whole restriction, with
   plain ``kernel.cohomology_dims``.  They are the reference the excised
@@ -143,18 +149,38 @@ def _excision_vertex(inside: Sequence[int], mask: int) -> int:
 
 
 def _excised_dims(inside: Sequence[int], mask: int, p: int) -> list[int]:
-    """``[dim H^-1, dim H^0, ...]`` of the restriction to ``mask`` of the
-    complex with the nonempty nonface list ``inside`` (every one within
-    ``mask``), from the pair (del v, lk v).
+    """``[dim H^-1, dim H^0, ...]`` of the complex on ``mask`` whose
+    nonfaces are ``inside`` (every one within ``mask``; they need not
+    be minimal, and one may be empty), by iterated star excision.
 
-    The pair's faces are the disjoint union over k of t_k | G, where G
-    avoids every other nonface of the restriction and every earlier
-    t_j, all taken relative to t_k.
+    While some vertex v lies in a single nonface g, the pair (del v,
+    lk v) has the cochains t | G with t = g - v and G a face of the
+    complex K on mask - g whose nonfaces are n - t for the other n;
+    the coboundaries agree up to the sign of each cochain, so the pair
+    is K with every cardinality raised by |t|, over every field.  The
+    loop replaces the complex by K until it stops: a vertex in no
+    nonface (a cone) or an empty nonface (void) gives zero, and so does
+    no nonface left on a nonempty mask (a simplex); none left on the
+    empty mask is {empty face}, one class at cardinality ``shift``.
+    Otherwise v is the vertex in the fewest nonfaces, and the pair's
+    faces, the disjoint union over k of t_k | G with G avoiding every
+    other nonface and every earlier t_j, all relative to t_k, go to
+    ``kernel.morse_cohomology_dims``.
     """
-    v = _excision_vertex(inside, mask)
-    if not v:
-        return []
-    links = [g ^ v for g in inside if g & v]
+    shift = 0
+    while inside:
+        v = _excision_vertex(inside, mask)
+        if not v or 0 in inside:
+            return []
+        links = [g ^ v for g in inside if g & v]
+        if len(links) > 1:
+            break
+        t = links[0]
+        inside = [n & ~t for n in inside if not n & v]
+        mask &= ~(t | v)
+        shift += t.bit_count()
+    else:
+        return [] if mask else [0] * shift + [1]
     others = [g for g in inside if not g & v]
     rest = mask ^ v
     faces: list[int] = []
@@ -162,7 +188,8 @@ def _excised_dims(inside: Sequence[int], mask: int, p: int) -> list[int]:
         nonfaces = [n & ~t for n in others] + [s & ~t for s in links[:k]]
         faces += [t | x for x in
                   kernel.faces_from_nonfaces(nonfaces, rest & ~t)]
-    return kernel.morse_cohomology_dims(faces, p)
+    dims = kernel.morse_cohomology_dims(faces, p)
+    return [0] * shift + dims if dims else []
 
 
 def _betti_vector(dims: list[int], n: int) -> list[int]:
@@ -176,13 +203,13 @@ def betti_multidegree(ideal: SquarefreeIdeal, multidegree: Iterable[str],
                       budget: int = DEFAULT_BETTI_VARS) -> list[int]:
     """The vector (beta_{0,A}, ..., beta_{|A|-1,A}) via Hochster's
     formula: beta_{j,A} = dim H^(|A|-j-2) of the restriction, computed
-    by star excision (see the module docstring)."""
+    by iterated star excision (see the module docstring)."""
     a = frozenset(multidegree)
     if len(a) > budget:
         raise BudgetExceeded(f"multidegree larger than budget {budget}")
     mask, index = _multidegree_mask(ideal, a)
     inside = [g for g in _gen_masks(ideal, index) if not g & ~mask]
-    dims = _excised_dims(inside, mask, f.p or 0) if inside else []
+    dims = _excised_dims(inside, mask, f.p or 0)
     return _betti_vector(dims, len(a))
 
 
@@ -284,13 +311,13 @@ def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
 
 def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
                      budget: int = DEFAULT_BETTI_VARS) -> BettiTable:
-    """All nonzero beta_{j,A}, each from ``betti_multidegree``'s
-    excised pair.
+    """All nonzero beta_{j,A}, each by ``betti_multidegree``'s iterated
+    star excision.
 
     Candidate multidegrees are the unions of generator supports: if some
     vertex of A lies in no generator inside A, the restriction is a cone
     over it and contributes nothing.  One pass over them reads each
-    beta_{j,A} = dim H^(|A|-j-2) straight off the pair's dims.
+    beta_{j,A} = dim H^(|A|-j-2) straight off the excised dims.
     """
     if len(ideal.variables) > budget:
         raise BudgetExceeded(f"Betti table limited to {budget} variables")

@@ -328,31 +328,6 @@ def maximal_chains(p: Poset | GradedPoset) -> list[Chain]:
     return [Chain(c, saturated=True, maximal=True) for c in out]
 
 
-def saturated_chains_between(g: GradedPoset, p: str, q: str) -> list[Chain]:
-    """All saturated chains from p up to q (empty if q is unreachable)."""
-    if g.rank[p] >= g.rank[q]:
-        raise InvalidParameter("need rank(p) < rank(q)")
-    poset = g.poset
-    out: list[tuple[str, ...]] = []
-    stack = [p]
-
-    def descend(e: str) -> None:
-        if e == q:
-            out.append(tuple(stack))
-            return
-        for c in poset.children(e):
-            if poset.leq(c, q):
-                stack.append(c)
-                descend(c)
-                stack.pop()
-
-    descend(p)
-    out.sort()
-    return [Chain(c, saturated=True,
-                  maximal=(not poset.parents(p) and not poset.children(q)))
-            for c in out]
-
-
 def rank_selection(g: GradedPoset, ranks) -> GradedPoset:
     """Induced subposet on the elements whose rank lies in ``ranks``.
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import pathlib
@@ -114,6 +115,13 @@ def test_betti_fast_table_matches_hochster_table():
     slow = run_json(["betti", "--example", "4.9"])
     fast = run_json(["betti", "--example", "4.9", "--fast"])
     assert fast["entries"] == slow["entries"]
+
+
+def test_betti_csv_of_example_4_9_is_pinned():
+    code, text = run(["betti", "--example", "4.9", "--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "27e0653d4988a7d1ee17e7e274660e8913bd09ebb7cc39ec86f41551248b4074")
 
 
 def test_betti_rejects_ungraded():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,81 @@ def test_excised_route_with_singleton_generators(f):
     assert checked >= 5
 
 
+def _mixed_degree_ideals(count):
+    """Seeded squarefree ideals on 5-7 variables with generators of
+    degree 1-4, minimalized."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < count:
+        variables = [f"x{i}" for i in range(1, rng.randint(5, 7) + 1)]
+        gens = [rng.sample(variables, rng.choice((1, 2, 2, 3, 3, 4)))
+                for _ in range(rng.randint(3, 10))]
+        out.append(fp.SquarefreeIdeal.from_generators(variables, gens))
+    return out
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=str)
+def test_excised_route_on_mixed_degree_ideals(f):
+    # the colon step meets degree-1, empty and non-minimal nonfaces
+    nonzero = 0
+    for ideal in _mixed_degree_ideals(40):
+        subsets = [a for k in range(len(ideal.variables) + 1)
+                   for a in itertools.combinations(ideal.variables, k)]
+        nonzero += _assert_excised_route(ideal, subsets, f)
+    assert nonzero > 50
+
+
+def _ideal(*generators):
+    variables = sorted({v for g in generators for v in g.split()})
+    return fp.SquarefreeIdeal(variables, [frozenset(g.split())
+                                          for g in generators])
+
+
+def test_excision_stopping_cases(monkeypatch):
+    # a cone: x3 lies in no generator inside A
+    assert fp.betti_multidegree(_ideal("x1 x2", "x3 x4"),
+                                ("x1", "x2", "x3")) == [0, 0, 0]
+    # a simplex: no generator inside A
+    assert fp.betti_multidegree(_ideal("x1 x2"), ("x1",)) == [0]
+    # the path x1-x2-x3-x4: x1 then x4 peel off and leave the empty
+    # nonface x3 - x3, a void complex
+    path = _ideal("x1 x2", "x2 x3", "x3 x4")
+    assert fp.betti_multidegree(path, path.variables) == [0, 0, 0, 0]
+    # x1 then x3 peel off and leave {empty face} at cardinality 2
+    square = _ideal("x1 x2", "x3 x4")
+    assert fp.betti_multidegree(square, square.variables) == [0, 1, 0, 0]
+    # x0 peels off (shift 1) and leaves a 5-cycle of nonfaces whose
+    # vertices all lie in two: the pair goes to the matching
+    cycle = _ideal("x0 x1", *(f"x{i} x{i % 5 + 2}" for i in range(2, 7)))
+    seen = []
+    morse = fp.kernel.morse_cohomology_dims
+
+    def recording(face_masks, p):
+        seen.append(morse(face_masks, p))
+        return seen[-1]
+
+    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", recording)
+    for f in TABLE_FIELDS:
+        seen.clear()
+        vec = fp.betti_multidegree(cycle, cycle.variables, f)
+        assert vec == [0, 0, 0, 1, 0, 0, 0]
+        assert vec == _brute_vector(cycle, cycle.variables, f)
+        assert seen == [[0, 0, 1]], f
+
+
+def test_excision_peels_example_4_9(monkeypatch):
+    calls = []
+    morse = fp.kernel.morse_cohomology_dims
+
+    def counting(face_masks, p):
+        calls.append(len(face_masks))
+        return morse(face_masks, p)
+
+    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting)
+    fp.full_betti_table(fp.flag_ideal(fp.example_4_9()), GF2)
+    assert len(calls) <= 300
+
+
 def _rp2_ideal():
     """The Stanley-Reisner ideal of the six-vertex projective plane: its
     minimal nonfaces are the ten triangles that are not facets."""
@@ -267,6 +343,35 @@ def test_excised_route_sees_torsion():
     assert fp.betti_multidegree(ideal, whole, GF2) == [0, 0, 1, 1, 0, 0]
     assert fp.betti_multidegree(ideal, whole, QQ) == [0] * 6
     assert fp.betti_multidegree(ideal, whole, GF(3)) == [0] * 6
+
+
+def _rp2_flag_poset():
+    """The rank-2 poset of the six-vertex projective plane: its ten
+    facets below its six vertices, facet f below vertex v exactly when
+    v is not in f.  The layer's Y-complex is the plane itself, so the
+    flag ideal carries the plane's 2-torsion."""
+    edges = [(f"f{x}", f"v{v}") for x in RP2_FACETS for v in "123456"
+             if v not in x]
+    return fp.rank_function(fp.bipartite_poset(
+        tuple(f"f{x}" for x in RP2_FACETS),
+        tuple(f"v{v}" for v in "123456"), edges))
+
+
+def test_flag_ideal_with_torsion():
+    g = _rp2_flag_poset()
+    ideal = fp.flag_ideal(g)
+    assert (len(g), len(ideal.generators)) == (16, 30)
+    for f in TABLE_FIELDS:
+        expected = LaurentPoly({4: 1, 5: 1}) if f == GF2 \
+            else LaurentPoly.zero()
+        assert fp.betti_polynomial_fast(g, g.elements, f) == expected, f
+        assert fp.betti_polynomial_bruteforce(ideal, g.elements, f) \
+            == expected, f
+    # projdim(R/I) is 13 over GF(2) and 12 over GF(3)
+    two, three = (fp.full_betti_table(ideal, f).total() for f in (GF2, GF(3)))
+    assert (two.pop(11), two.pop(12)) == (17, 1)
+    assert three.pop(11) == 16
+    assert two == three and max(two) == 10
 
 
 def test_tables_eliminate_only_past_the_matching(monkeypatch):

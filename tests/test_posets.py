@@ -145,19 +145,6 @@ def test_maximal_chains_basic():
     assert all(c.saturated and c.maximal for c in chains)
 
 
-def test_saturated_chains_between():
-    g = fp.example_3_4()
-    between = fp.saturated_chains_between(g, "b1", "b3")
-    assert [c.elements for c in between] == [("b1", "b2", "b3"),
-                                             ("b1", "c2", "b3")]
-    assert fp.saturated_chains_between(g, "a1", "b2") == []
-    two = fp.chain(2)
-    assert [c.elements for c in fp.saturated_chains_between(two, "c1", "c2")] \
-        == [("c1", "c2")]
-    with pytest.raises(InvalidParameter):
-        fp.saturated_chains_between(g, "a2", "b1")
-
-
 def test_rank_selection_full_range_is_copy():
     g = fp.example_3_4()
     sel = fp.rank_selection(g, {1, 2, 3})
