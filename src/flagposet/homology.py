@@ -18,27 +18,31 @@ elimination, ``kernel.cohomology_dims``: Gaussian elimination over
 GF(p), fraction-free elimination over QQ.
 
 * Tables (``betti_multidegree``, ``full_betti_table`` and the oracles
-  built on them) use iterated star excision, Jonsson's element
-  matching applied again and again.  For a vertex v of the
-  restriction D_A its star is a cone, so H~*(D_A) = H*(del v, lk v).
-  The cochains of that pair are the faces F of D_A inside A - v with
-  F + v not a face, i.e. F contains t_k = g_k - v for a nonface g_k
-  with v in g_k; the coboundary is the usual one with the faces of
-  lk v counting as zero.  When v lies in a single nonface g, the pair
-  is, up to signs and with every cardinality raised by |t|, the
-  complex on A - g whose nonfaces are n - t for the other nonfaces n;
-  so the tables replace D_A by that complex and repeat.  The loop
-  stops at zero for a cone (a vertex in no nonface), a void complex
-  (an empty nonface) or a simplex (no nonface, some vertex left), and
-  at one class for {empty face} (no nonface, no vertex).  When every
-  vertex lies in two or more nonfaces, v is the one in the fewest,
-  and ``kernel.morse_cohomology_dims`` matches the pair's faces over
-  every other vertex in turn, eliminating only when the unmatched
-  faces span several degrees; on example 4.9 that never happens, and
-  its whole table lists about 7 thousand faces.  ``full_betti_table``
-  is one pass over the lcm masks: it writes the dims vector straight
-  into table entries and builds A's variable set only when it has a
-  nonzero entry.
+  built on them) use star excision, Jonsson's element matching.  For a
+  vertex v of the restriction D_A its star is a cone, so H~*(D_A) =
+  H*(del v, lk v).  The cochains of that pair are the faces F of D_A
+  inside A - v with F + v not a face, i.e. F contains t_k = g_k - v for
+  a nonface g_k with v in g_k; the coboundary is the usual one with the
+  faces of lk v counting as zero.  When v lies in a single nonface g,
+  the pair is, up to signs and with every cardinality raised by |t|,
+  the complex on A - g whose nonfaces are n - t for the other nonfaces
+  n.  One pass over the nonfaces builds ``once``, their union, and
+  ``many``, the vertices in two or more of them; a vertex outside
+  ``once`` is a cone (zero), and every nonface with a vertex in
+  ``once`` but not ``many`` is peeled off in the same round, the
+  cardinalities raised by the size of the union T of the peeled t's.
+  A peel leaves every other vertex in as many nonfaces as before, so
+  one round leaves no single vertex.  It stops at zero on a void
+  complex (an empty nonface) and at one class on {empty face} (no
+  vertex left).  Otherwise every vertex lies in two or more nonfaces:
+  bit-plane counters over the nonfaces pick v, the vertex in the
+  fewest, and ``kernel.morse_cohomology_dims`` matches the pair's
+  faces over every other vertex in turn, eliminating only when the
+  unmatched faces span several degrees; on example 4.9 that never
+  happens, and its whole table lists about 7 thousand faces.
+  ``full_betti_table`` is one pass over the lcm masks: it writes the
+  dims vector straight into table entries and builds A's variable set
+  only when it has a nonzero entry.
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
   stay the literal Hochster computation on the whole restriction, with
   plain ``kernel.cohomology_dims``.  They are the reference the excised
@@ -54,7 +58,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import kernel
 from .complexes import SimplicialComplex, layer_sides
-from .errors import BudgetExceeded, UnknownVariable, VariableClash
+from .errors import (BudgetExceeded, InvalidParameter, UnknownVariable,
+                     VariableClash)
 from .fields import GF2, FieldSpec, LaurentPoly, poly_from_dims
 from .ideals import SquarefreeIdeal, alexander_dual, flag_ideal
 from .posets import GradedPoset
@@ -120,17 +125,16 @@ def restriction_cohomology_poly(ideal: SquarefreeIdeal,
 
 def _excision_vertex(inside: Sequence[int], mask: int) -> int:
     """The vertex (as a one-bit mask) of ``mask`` in the fewest of the
-    masks ``inside``, ties to the lowest index; 0 when some vertex of
-    ``mask`` is in none of them.
+    masks ``inside``, ties to the lowest index.  Only the matching
+    fallback of ``_excised_dims`` asks, once peeling has left every
+    vertex in two or more masks.
 
     Every vertex's count is kept in binary across bit planes, one
     ripple-carry addition per mask; the least count is then read off
     the planes from the top one down.
     """
     planes: list[int] = []
-    union = 0
     for g in inside:
-        union |= g
         carry = g
         for k, plane in enumerate(planes):
             planes[k] = plane ^ carry
@@ -139,8 +143,6 @@ def _excision_vertex(inside: Sequence[int], mask: int) -> int:
                 break
         if carry:
             planes.append(carry)
-    if mask & ~union:
-        return 0
     fewest = mask
     for plane in reversed(planes):
         if fewest & ~plane:
@@ -151,36 +153,64 @@ def _excision_vertex(inside: Sequence[int], mask: int) -> int:
 def _excised_dims(inside: Sequence[int], mask: int, p: int) -> list[int]:
     """``[dim H^-1, dim H^0, ...]`` of the complex on ``mask`` whose
     nonfaces are ``inside`` (every one within ``mask``; they need not
-    be minimal, and one may be empty), by iterated star excision.
+    be minimal, and one may be empty), by star excision.
 
-    While some vertex v lies in a single nonface g, the pair (del v,
+    One pass over the nonfaces gives ``once``, their union, and
+    ``many``, the vertices in two or more of them (a repeated nonface
+    counts twice).  A vertex of ``mask`` outside ``once`` is a cone
+    (with no nonface at all, a simplex): zero.
+
+    A vertex v in a single nonface g peels g off: the pair (del v,
     lk v) has the cochains t | G with t = g - v and G a face of the
-    complex K on mask - g whose nonfaces are n - t for the other n;
-    the coboundaries agree up to the sign of each cochain, so the pair
-    is K with every cardinality raised by |t|, over every field.  The
-    loop replaces the complex by K until it stops: a vertex in no
-    nonface (a cone) or an empty nonface (void) gives zero, and so does
-    no nonface left on a nonempty mask (a simplex); none left on the
-    empty mask is {empty face}, one class at cardinality ``shift``.
-    Otherwise v is the vertex in the fewest nonfaces, and the pair's
-    faces, the disjoint union over k of t_k | G with G avoiding every
-    other nonface and every earlier t_j, all relative to t_k, go to
+    complex on mask - g whose nonfaces are n - t for the other n; the
+    coboundaries agree up to the sign of each cochain, so the pair is
+    that complex with every cardinality raised by |t|, over every
+    field.  One round peels every nonface g that holds a vertex of
+    ``once & ~many``, with v_g its lowest such vertex and T the union
+    of the g - v_g: the result is the complex on mask minus every
+    peeled g whose nonfaces are n - T for the others, raised by |T|.
+    That is the peels made one after another.  A single vertex v2 of
+    g2 lies in no other nonface, so it is not in t1 = g1 - v1 and is
+    still single in g2 - t1 after g1 is peeled; peeling it removes the
+    vertices g1 | g2, takes t1 | t2 out of the other nonfaces and
+    raises by |t1| + |t2 - t1| = |t1 | t2|.  Induction gives the round.
+    The round is the only one: a vertex w that survives it lies in no
+    peeled nonface and not in T, so it is in exactly as many nonfaces
+    as before, two or more.
+
+    After the round an empty nonface (void, and peeling keeps it
+    empty) gives zero, and an empty mask is {empty face}, one class at
+    cardinality |T|.  Otherwise ``_excision_vertex`` picks v, the vertex
+    in the fewest nonfaces, and the pair's faces, the disjoint union
+    over k of t_k | G with G avoiding every other nonface and every
+    earlier t_j, all relative to t_k, go to
     ``kernel.morse_cohomology_dims``.
     """
-    shift = 0
-    while inside:
-        v = _excision_vertex(inside, mask)
-        if not v or 0 in inside:
-            return []
-        links = [g ^ v for g in inside if g & v]
-        if len(links) > 1:
-            break
-        t = links[0]
-        inside = [n & ~t for n in inside if not n & v]
-        mask &= ~(t | v)
-        shift += t.bit_count()
-    else:
-        return [] if mask else [0] * shift + [1]
+    once = many = 0
+    for g in inside:
+        many |= once & g
+        once |= g
+    if mask & ~once:
+        return []
+    single = once & ~many
+    gone = peeled = 0
+    kept = []
+    for g in inside:
+        s = g & single
+        if s:
+            gone |= g
+            peeled |= g ^ (s & -s)
+        else:
+            kept.append(g)
+    inside = [n & ~peeled for n in kept]
+    mask &= ~gone
+    shift = peeled.bit_count()
+    if 0 in inside:
+        return []
+    if not mask:
+        return [0] * shift + [1]
+    v = _excision_vertex(inside, mask)
+    links = [g ^ v for g in inside if g & v]
     others = [g for g in inside if not g & v]
     rest = mask ^ v
     faces: list[int] = []
@@ -203,7 +233,7 @@ def betti_multidegree(ideal: SquarefreeIdeal, multidegree: Iterable[str],
                       budget: int = DEFAULT_BETTI_VARS) -> list[int]:
     """The vector (beta_{0,A}, ..., beta_{|A|-1,A}) via Hochster's
     formula: beta_{j,A} = dim H^(|A|-j-2) of the restriction, computed
-    by iterated star excision (see the module docstring)."""
+    by star excision (see the module docstring)."""
     a = frozenset(multidegree)
     if len(a) > budget:
         raise BudgetExceeded(f"multidegree larger than budget {budget}")
@@ -311,8 +341,8 @@ def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
 
 def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
                      budget: int = DEFAULT_BETTI_VARS) -> BettiTable:
-    """All nonzero beta_{j,A}, each by ``betti_multidegree``'s iterated
-    star excision.
+    """All nonzero beta_{j,A}, each by ``betti_multidegree``'s star
+    excision.
 
     Candidate multidegrees are the unions of generator supports: if some
     vertex of A lies in no generator inside A, the restriction is a cone
@@ -358,10 +388,16 @@ def component_betti_assembly(tables: Sequence[BettiTable]) -> BettiTable:
 
     Convolution in quotient-ring indexing: beta_{i,A|B}(R/(I+J)) =
     sum over j+k=i of beta_{j,A}(R/I) * beta_{k,B}(R/J); the tables
-    store ideal indices, hence the +-1 shifts.
+    store ideal indices, hence the +-1 shifts.  Every table must be over
+    the same field; tables over different fields raise
+    ``InvalidParameter``.
     """
     if not tables:
         raise VariableClash("need at least one table")
+    fields = sorted({str(t.field) for t in tables})
+    if len(fields) > 1:
+        raise InvalidParameter(
+            f"tables over different fields: {', '.join(fields)}")
     seen_vars: set[str] = set()
     for t in tables:
         overlap = seen_vars & set(t.variables)

@@ -41,6 +41,22 @@ def sweep_poset(bits: int, include_isolated: bool) -> fp.GradedPoset:
     return g
 
 
+RP2_FACETS = ["125", "126", "134", "136", "145", "234", "235", "246",
+              "356", "456"]
+
+
+def rp2_flag_poset() -> fp.GradedPoset:
+    """The rank-2 poset of the six-vertex projective plane: its ten
+    facets below its six vertices, facet f below vertex v exactly when
+    v is not in f.  The layer's Y-complex is the plane itself, so the
+    flag ideal carries the plane's 2-torsion."""
+    edges = [(f"f{x}", f"v{v}") for x in RP2_FACETS for v in "123456"
+             if v not in x]
+    return fp.rank_function(fp.bipartite_poset(
+        tuple(f"f{x}" for x in RP2_FACETS),
+        tuple(f"v{v}" for v in "123456"), edges))
+
+
 def sweep_layer(bits: int) -> fp.BipartiteLayer:
     edges = sweep_edges(bits)
     bottom = tuple(b for b in BOTTOMS if any(e[0] == b for e in edges))

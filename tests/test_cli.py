@@ -9,6 +9,7 @@ import pytest
 
 import flagposet as fp
 from flagposet.cli import build_parser, main
+from conftest import rp2_flag_poset
 
 
 def run(argv):
@@ -227,6 +228,22 @@ def test_field_flag():
     assert report["cm"]["oracle"] is False
     code, _ = run(["classify", "--example", "3.4", "--field", "gf7"])
     assert code == 1
+
+
+def test_classify_field_on_a_poset_with_torsion(tmp_path):
+    # the flag ideal's Betti numbers differ between GF(2) and the other
+    # fields, and the verdicts must not
+    path = tmp_path / "rp2.poset"
+    path.write_text(fp.poset_to_text(rp2_flag_poset()))
+    rows = ("unmixed", "cm", "linear_resolution")
+    verdicts = {}
+    for field in ("gf2", "gfp:3", "q"):
+        report = run_json(["classify", str(path), "--field", field])
+        for row in rows:
+            assert report[row]["structural"] == report[row]["oracle"], \
+                (field, row)
+        verdicts[field] = [report[row] for row in rows]
+    assert verdicts["gf2"] == verdicts["gfp:3"] == verdicts["q"]
 
 
 def test_output_bytes_deterministic():

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 import flagposet as fp
 from flagposet.complexes import IRRELEVANT, VOID, full_simplex
-from flagposet.errors import BudgetExceeded, VariableClash
-from flagposet.fields import GF, GF2, QQ, LaurentPoly
-from conftest import sweep_poset
+from flagposet.errors import BudgetExceeded, InvalidParameter, VariableClash
+from flagposet.fields import GF, GF2, QQ, LaurentPoly, poly_from_dims
+from conftest import RP2_FACETS, rp2_flag_poset, sweep_poset
 
 t = LaurentPoly.t_power
 FIELDS = [GF2, GF(32003), QQ]
 TABLE_FIELDS = [GF2, GF(3), GF(32003), QQ]
-RP2_FACETS = ["125", "126", "134", "136", "145", "234", "235", "246",
-              "356", "456"]
 
 
 def sc(vertices, facets):
@@ -287,11 +285,11 @@ def test_excision_stopping_cases(monkeypatch):
                                 ("x1", "x2", "x3")) == [0, 0, 0]
     # a simplex: no generator inside A
     assert fp.betti_multidegree(_ideal("x1 x2"), ("x1",)) == [0]
-    # the path x1-x2-x3-x4: x1 then x4 peel off and leave the empty
-    # nonface x3 - x3, a void complex
+    # the path x1-x2-x3-x4: x1 and x4 peel off in one round and leave
+    # the empty nonface x2 x3 - {x2, x3}, a void complex on no vertex
     path = _ideal("x1 x2", "x2 x3", "x3 x4")
     assert fp.betti_multidegree(path, path.variables) == [0, 0, 0, 0]
-    # x1 then x3 peel off and leave {empty face} at cardinality 2
+    # x1 and x3 peel off and leave {empty face} at cardinality 2
     square = _ideal("x1 x2", "x3 x4")
     assert fp.betti_multidegree(square, square.variables) == [0, 1, 0, 0]
     # x0 peels off (shift 1) and leaves a 5-cycle of nonfaces whose
@@ -313,17 +311,48 @@ def test_excision_stopping_cases(monkeypatch):
         assert seen == [[0, 0, 1]], f
 
 
+@pytest.mark.parametrize("p", [2, 3, 0])
+def test_one_round_peels_every_single_vertex(p):
+    def excised(nonfaces, mask):
+        dims = fp.homology._excised_dims(nonfaces, mask, p)
+        plain = fp.kernel.cohomology_dims(
+            fp.kernel.faces_from_nonfaces(nonfaces, mask), p)
+        assert poly_from_dims(dims) == poly_from_dims(plain), nonfaces
+        return dims
+
+    # ab and bc on {a, b, c}: a and c are single, T = {b} and the shift
+    # is |T| = 1, not |b| + |b| = 2; {empty face} is left
+    assert excised([0b011, 0b110], 0b111) == [0, 1]
+    # ab and cd share nothing: T = {b, d}
+    assert excised([0b0011, 0b1100], 0b1111) == [0, 0, 1]
+    # a is single in ab; the peel leaves the nonface b - {b} empty
+    assert excised([0b11, 0b10], 0b11) == []
+    # a is single in abc and d in cd, T = {b, c}: bc - T is empty
+    assert excised([0b0111, 0b0110, 0b1100], 0b1111) == []
+    # a repeated nonface counts twice: neither copy of ab is peeled, and
+    # the matching sees the two points a and b
+    assert excised([0b11, 0b11], 0b11) == [0, 1]
+
+
 def test_excision_peels_example_4_9(monkeypatch):
-    calls = []
+    # the fewest-count vertex is looked for only where the matching runs:
+    # every other excision is one round of peeling
+    calls = {"vertex": 0, "morse": 0}
+    vertex = fp.homology._excision_vertex
     morse = fp.kernel.morse_cohomology_dims
 
-    def counting(face_masks, p):
-        calls.append(len(face_masks))
+    def counting_vertex(inside, mask):
+        calls["vertex"] += 1
+        return vertex(inside, mask)
+
+    def counting_morse(face_masks, p):
+        calls["morse"] += 1
         return morse(face_masks, p)
 
-    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting)
+    monkeypatch.setattr(fp.homology, "_excision_vertex", counting_vertex)
+    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting_morse)
     fp.full_betti_table(fp.flag_ideal(fp.example_4_9()), GF2)
-    assert len(calls) <= 300
+    assert calls == {"vertex": 286, "morse": 286}
 
 
 def _rp2_ideal():
@@ -345,20 +374,8 @@ def test_excised_route_sees_torsion():
     assert fp.betti_multidegree(ideal, whole, GF(3)) == [0] * 6
 
 
-def _rp2_flag_poset():
-    """The rank-2 poset of the six-vertex projective plane: its ten
-    facets below its six vertices, facet f below vertex v exactly when
-    v is not in f.  The layer's Y-complex is the plane itself, so the
-    flag ideal carries the plane's 2-torsion."""
-    edges = [(f"f{x}", f"v{v}") for x in RP2_FACETS for v in "123456"
-             if v not in x]
-    return fp.rank_function(fp.bipartite_poset(
-        tuple(f"f{x}" for x in RP2_FACETS),
-        tuple(f"v{v}" for v in "123456"), edges))
-
-
 def test_flag_ideal_with_torsion():
-    g = _rp2_flag_poset()
+    g = rp2_flag_poset()
     ideal = fp.flag_ideal(g)
     assert (len(g), len(ideal.generators)) == (16, 30)
     for f in TABLE_FIELDS:
@@ -368,10 +385,32 @@ def test_flag_ideal_with_torsion():
         assert fp.betti_polynomial_bruteforce(ideal, g.elements, f) \
             == expected, f
     # projdim(R/I) is 13 over GF(2) and 12 over GF(3)
-    two, three = (fp.full_betti_table(ideal, f).total() for f in (GF2, GF(3)))
+    tables = {f: fp.full_betti_table(ideal, f) for f in (GF2, GF(3))}
+    two, three = (t.total() for t in tables.values())
     assert (two.pop(11), two.pop(12)) == (17, 1)
     assert three.pop(11) == 16
     assert two == three and max(two) == 10
+    # the layer product and the literal Hochster computation read the
+    # same table in each field: every multidegree of 15 or 16 elements
+    # (the whole one is the only entry the fields disagree on) and a
+    # seeded sample of the others; the whole lattice has 37,836
+    # multidegrees, and the layer product over all of them takes about a
+    # minute in the pure kernel
+    lattice = fp.lcm_lattice(ideal)
+    rng = random.Random(20261019)
+    top = [a for a in lattice if len(a) >= 15]
+    fast = top + rng.sample([a for a in lattice if len(a) < 15], 600)
+    brute = rng.sample([a for a in lattice if len(a) <= 10], 200)
+    for f, table in tables.items():
+        def entry(a):
+            return LaurentPoly({len(a) - j: table.entries.get((j, a), 0)
+                                for j in range(len(a))})
+
+        for a in fast:
+            assert fp.betti_polynomial_fast(g, a, f) == entry(a), (f, a)
+        for a in brute:
+            assert fp.betti_polynomial_bruteforce(ideal, a, f) == entry(a), \
+                (f, a)
 
 
 def test_tables_eliminate_only_past_the_matching(monkeypatch):
@@ -435,6 +474,10 @@ def test_component_assembly():
     assert fp.component_betti_assembly([tx]).entries == tx.entries
     with pytest.raises(VariableClash):
         fp.component_betti_assembly([tx, tx])
+    with pytest.raises(InvalidParameter, match=r"GF\(2\), GF\(3\)"):
+        fp.component_betti_assembly([tx, fp.full_betti_table(y, GF(3))])
+    with pytest.raises(InvalidParameter, match=r"GF\(2\), QQ"):
+        fp.component_betti_assembly([fp.full_betti_table(x, QQ), ty])
 
 
 def test_component_assembly_matches_direct(corpus_b):
