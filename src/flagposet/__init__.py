@@ -20,17 +20,6 @@ from .characterize import (
     is_bi_cm,
     is_ferrers,
 )
-from .complexes import (
-    SimplicialComplex,
-    independence_complex,
-    join,
-    order_complex,
-    restrict,
-    stanley_reisner_complex,
-    suspension,
-    x_complexes,
-    y_complex,
-)
 from .covers import (
     IndependentSet,
     VertexCover,
@@ -59,7 +48,6 @@ from .errors import (
     UnknownElement,
     UnknownVariable,
     VariableClash,
-    VertexClash,
 )
 from .fields import GF, GF2, QQ, FieldSpec, LaurentPoly, parse_field
 from .generate import RandomPosetSpec, random_graded_poset
@@ -76,7 +64,6 @@ from .homology import (
     is_cm_oracle,
     lcm_lattice,
     oracle_verdicts,
-    reduced_cohomology_poly,
     restriction_cohomology_poly,
 )
 from .ideals import (

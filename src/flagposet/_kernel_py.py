@@ -159,31 +159,6 @@ def faces_from_nonfaces(nonface_masks: Sequence[int], sub_mask: int) -> list[int
     return faces
 
 
-def faces_from_facets(facet_masks: Sequence[int]) -> list[int]:
-    """All faces (subsets of some facet), sorted ascending.
-
-    An empty facet list is the void complex and yields no faces; a single
-    zero facet is the irrelevant complex and yields [0].
-    """
-    if not facet_masks:
-        return []
-    seen = set(facet_masks)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            m = f
-            while m:
-                b = m & -m
-                m ^= b
-                sub = f ^ b
-                if sub not in seen:
-                    seen.add(sub)
-                    nxt.append(sub)
-        frontier = nxt
-    return sorted(seen)
-
-
 def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
     """Reduced cohomology dimensions over GF(p), or over QQ when p = 0,
     of the complex whose full face list (including the empty face) is

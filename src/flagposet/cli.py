@@ -159,10 +159,16 @@ def cmd_betti(args, out) -> int:
     if g is None:
         raise NotGraded("Betti computations need a graded poset")
     ideal = flag_ideal(g)
+    budget = budgets.get("betti_vars", DEFAULT_BETTI_VARS)
     if args.multidegree is not None:
         if args.fmt == "csv":
             raise InvalidParameter("csv output only applies to Betti tables")
         a = [v for v in args.multidegree.split(",") if v]
+        for i, v in enumerate(a):
+            if v in a[:i]:
+                raise InvalidParameter(f"repeated element in multidegree: {v}")
+        if (not args.fast or args.verify) and len(a) > budget:
+            raise BudgetExceeded(f"multidegree larger than budget {budget}")
         fast = (betti_polynomial_fast(g, a, field)
                 if (args.fast or args.verify) else None)
         brute = (betti_polynomial_bruteforce(ideal, a, field)
@@ -180,9 +186,10 @@ def cmd_betti(args, out) -> int:
         _emit(payload, args.fmt, out)
         return 0
     if args.fast:
+        if len(ideal.variables) > budget:
+            raise BudgetExceeded(f"Betti table limited to {budget} variables")
         table = graded_betti_table(g, field)
     else:
-        budget = budgets.get("betti_vars", DEFAULT_BETTI_VARS)
         table = full_betti_table(ideal, field, budget)
     if args.verify:
         rows: dict[frozenset[str], dict[int, int]] = {}
@@ -216,7 +223,10 @@ def cmd_betti(args, out) -> int:
 
 
 def cmd_generate(args, out) -> int:
-    widths = tuple(int(w) for w in args.widths.split(","))
+    try:
+        widths = tuple(int(w) for w in args.widths.split(","))
+    except ValueError as exc:
+        raise InvalidParameter(f"bad widths: {args.widths}") from exc
     spec = RandomPosetSpec(widths, args.edge_prob, args.seed)
     g = random_graded_poset(spec)
     text = poset_to_text(g)

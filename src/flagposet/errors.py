@@ -51,10 +51,6 @@ class UnitIdeal(FlagPosetError):
     minimal generating set."""
 
 
-class VertexClash(FlagPosetError):
-    """Join of complexes whose vertex sets overlap."""
-
-
 class VariableClash(FlagPosetError):
     """Combination of ideals whose variable sets overlap."""
 

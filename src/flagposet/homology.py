@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from . import kernel
-from .complexes import SimplicialComplex, layer_sides
+from .complexes import layer_sides
 from .errors import (BudgetExceeded, InvalidParameter, UnknownVariable,
                      VariableClash)
 from .fields import GF2, FieldSpec, LaurentPoly, poly_from_dims
@@ -74,17 +74,6 @@ DEFAULT_BETTI_VARS = 18
 def _poly_from_nonfaces(nonface_masks: Sequence[int], sub_mask: int,
                         f: FieldSpec) -> LaurentPoly:
     faces = kernel.faces_from_nonfaces(nonface_masks, sub_mask)
-    return poly_from_dims(kernel.cohomology_dims(faces, f.p or 0))
-
-
-def reduced_cohomology_poly(x: SimplicialComplex,
-                            f: FieldSpec = GF2) -> LaurentPoly:
-    """H(X, t) = sum of t^i dim H^i(X) over i >= -1."""
-    if x.is_void():
-        return LaurentPoly.zero()
-    index = {v: i for i, v in enumerate(x.vertices)}
-    facet_masks = [sum(1 << index[v] for v in fc) for fc in x.facets]
-    faces = kernel.faces_from_facets(facet_masks)
     return poly_from_dims(kernel.cohomology_dims(faces, f.p or 0))
 
 

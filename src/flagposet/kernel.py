@@ -1,6 +1,8 @@
 """The compute kernels.
 
-The six functions every homology computation runs on, and the subset
+The five functions every homology computation runs on
+(``faces_from_nonfaces``, ``cohomology_dims``, ``morse_cohomology_dims``,
+``rank_gf2`` and ``rank_mod_p``) and ``size_lex_sorted``, the subset
 order the tables and transversal lists are sorted in, implemented in
 pure Python in ``flagposet._kernel_py`` and re-exported here; callers
 use ``kernel.*``.  ``morse_cohomology_dims`` is ``cohomology_dims``
@@ -11,7 +13,6 @@ it eliminates only when the unmatched faces span several cardinalities.
 
 from flagposet._kernel_py import (
     cohomology_dims,
-    faces_from_facets,
     faces_from_nonfaces,
     morse_cohomology_dims,
     rank_gf2,

@@ -41,6 +41,13 @@ def sweep_poset(bits: int, include_isolated: bool) -> fp.GradedPoset:
     return g
 
 
+def downward_closure(facet_masks, nverts):
+    """The faces of the complex with these facets on ``nverts`` vertices,
+    ascending: every subset of some facet."""
+    return [s for s in range(1 << nverts)
+            if any(s & ~f == 0 for f in facet_masks)]
+
+
 RP2_FACETS = ["125", "126", "134", "136", "145", "234", "235", "246",
               "356", "456"]
 
@@ -86,13 +93,20 @@ def generated_chain_posets(count):
     return out
 
 
+def perfbench_module(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded as a file
+    (``perfbench`` is not a package)."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def structural_grids_posets(seed):
     """The posets of the benchmark's ``structural_grids`` workload."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads")
     return [g for g, _ in workloads.build_structural_grids(seed)]
 
 

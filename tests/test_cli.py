@@ -327,3 +327,50 @@ def test_nonpositive_budget_rejected():
     code, text = run(["classify", "--example", "3.4",
                       "--budget-cover-enum", "0"])
     assert code == 1 and text == ""
+
+
+def test_fast_table_keeps_the_variable_budget(capsys):
+    code, text = run(["betti", "--example", "hom:4,4", "--fast",
+                      "--budget-betti-vars", "4"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == ("budget exceeded: Betti table "
+                                       "limited to 4 variables\n")
+
+
+def test_bruteforce_multidegree_budget(monkeypatch, capsys):
+    # the 2^25 subsets of hom(5, 5) are never listed: the budget reads
+    # the multidegree's size first
+    from flagposet import kernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("faces listed before the budget")
+    everything = ",".join(fp.hom_rt_poset(5, 5).elements)
+    monkeypatch.setattr(kernel, "faces_from_nonfaces", refuse)
+    for extra in ([], ["--verify"]):
+        code, text = run(["betti", "--example", "hom:5,5", "--multidegree",
+                          everything, "--budget-betti-vars", "4", *extra])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == ("budget exceeded: multidegree "
+                                           "larger than budget 4\n")
+    # the layer product alone takes no budget
+    monkeypatch.undo()
+    payload = run_json(["betti", "--example", "hom:5,5", "--multidegree",
+                        "a1_1,a2_1,a3_1,a4_1,a5_1", "--fast",
+                        "--budget-betti-vars", "4"])
+    assert payload["betti_polynomial"] == {"5": 1}
+
+
+def test_repeated_multidegree_element_rejected(capsys):
+    code, text = run(["betti", "--example", "3.4",
+                      "--multidegree", "a1,a1,a2"])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == ("error: repeated element in "
+                                       "multidegree: a1\n")
+
+
+@pytest.mark.parametrize("widths, message", [
+    ("3,x", "bad widths: 3,x"), ("3,0", "widths must be positive")])
+def test_bad_widths_rejected(capsys, widths, message):
+    code, text = run(["generate", "--widths", widths])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"

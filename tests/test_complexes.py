@@ -1,124 +1,9 @@
-import itertools
-
-import pytest
-
 import flagposet as fp
-from flagposet.complexes import IRRELEVANT, VOID, full_simplex
-from flagposet.errors import VertexClash
 
 
-def sc(vertices, facets):
-    return fp.SimplicialComplex(vertices, [frozenset(f) for f in facets])
-
-
-def test_void_vs_irrelevant():
-    assert VOID.is_void() and not VOID.is_irrelevant()
-    assert IRRELEVANT.is_irrelevant() and not IRRELEVANT.is_void()
-    assert VOID.dim() == -2 and IRRELEVANT.dim() == -1
-
-
-def test_facets_are_normalized():
-    x = sc("abc", [("a",), ("a", "b"), ("b", "a")])
-    assert x.facets == (frozenset({"a", "b"}),)
-
-
-def test_order_complex():
-    assert [sorted(f) for f in fp.order_complex(fp.antichain(3)).facets] \
-        == [["p1"], ["p2"], ["p3"]]
-    assert fp.order_complex(fp.chain(4)).facets \
-        == (frozenset({"c1", "c2", "c3", "c4"}),)
-
-    # pentagon: oracle = maximal pairwise-comparable sets under the
-    # transitive closure of the covers
-    p = fp.pentagon()
-    comparable = {(a, b) for a in p.elements for b in p.elements
-                  if a != b and (p.less(a, b) or p.less(b, a))}
-    chains = [frozenset(s)
-              for k in range(1, 6)
-              for s in itertools.combinations(p.elements, k)
-              if all((a, b) in comparable
-                     for a, b in itertools.combinations(s, 2))]
-    expected = {c for c in chains if not any(c < d for d in chains)}
-    assert set(fp.order_complex(p).facets) == expected
-    assert expected == {frozenset({"a", "b", "e"}),
-                        frozenset({"a", "c", "d", "e"})}
-
-
-def test_stanley_reisner_complex():
-    xy = fp.SquarefreeIdeal("xy", [frozenset("xy")])
-    assert set(fp.stanley_reisner_complex(xy).facets) \
-        == {frozenset({"x"}), frozenset({"y"})}
-    zero = fp.SquarefreeIdeal("abc", [])
-    assert fp.stanley_reisner_complex(zero).facets == (frozenset("abc"),)
-    twok2 = fp.SquarefreeIdeal(("x1", "y1", "x2", "y2"),
-                               [frozenset({"x1", "y1"}),
-                                frozenset({"x2", "y2"})])
-    four_cycle = fp.stanley_reisner_complex(twok2)
-    assert sorted(sorted(f) for f in four_cycle.facets) \
-        == [["x1", "x2"], ["x1", "y2"], ["x2", "y1"], ["y1", "y2"]]
-
-
-def test_restrict():
-    simplex = full_simplex("abcd")
-    assert fp.restrict(simplex, {"a", "b"}).facets \
-        == (frozenset({"a", "b"}),)
-    assert fp.restrict(simplex, set()).is_irrelevant()
-    assert fp.restrict(VOID, {"a"}).is_void()
-    four = sc("wxyz", [("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")])
-    assert fp.restrict(four, {"w", "x"}).facets == (frozenset({"w", "x"}),)
-
-
-def test_join_and_suspension():
-    x = sc("ab", [("a",), ("b",)])
-    assert fp.join(x, IRRELEVANT) == x
-    y = sc("cd", [("c",), ("d",)])
-    four = fp.join(x, y)
-    assert len(four.facets) == 4 and four.dim() == 1
-    with pytest.raises(VertexClash):
-        fp.join(x, sc("ac", [("a",), ("c",)]))
-    sus = fp.suspension(x)
-    assert len(sus.vertices) == 4 and len(sus.facets) == 4
-    assert fp.join(VOID, x).is_void()
-
-
-def test_y_complex():
-    k11 = fp.BipartiteLayer(("a",), ("b",), frozenset([("a", "b")]))
-    assert fp.y_complex(k11).is_irrelevant()
-    iso_top = fp.BipartiteLayer(("a",), ("b", "c"), frozenset([("a", "b")]))
-    assert fp.y_complex(iso_top).has_face({"c"})
-    twok2 = fp.BipartiteLayer(("p1", "p2"), ("q1", "q2"),
-                              frozenset([("p1", "q1"), ("p2", "q2")]))
-    assert sorted(sorted(f) for f in fp.y_complex(twok2).facets) \
-        == [["q1"], ["q2"]]
-    empty_bottom = fp.BipartiteLayer((), ("b",), frozenset())
-    assert fp.y_complex(empty_bottom).is_void()
-
-
-def test_x_complexes_on_maximal_chain():
-    g = fp.hom_rt_poset(3, 2)
-    chain = ("a1_1", "a2_1", "a3_1")
-    for x in fp.x_complexes(g, chain):
-        assert len(x.vertices) == 2
-        assert sorted(len(f) for f in x.facets) == [1, 1]
-
-
-def test_x_complexes_gap_makes_a_cone():
-    g = fp.hom_rt_poset(3, 2)
-    xs = fp.x_complexes(g, {"a1_1", "a3_1"})  # missing the middle rank
-    assert xs[0].facets == (frozenset({"a1_1"}),)
-    assert xs[1].facets == (frozenset({"a3_1"}),)
-
-
-def test_x_complexes_two_disjoint_edges_give_four_cycle():
-    g = fp.rank_function(fp.bipartite_poset(
-        ("p1", "p2"), ("q1", "q2"), [("p1", "q1"), ("p2", "q2")]))
-    x1 = fp.x_complexes(g, {"p1", "p2", "q1", "q2"})[0]
-    assert sorted(sorted(f) for f in x1.facets) \
-        == [["p1", "p2"], ["p1", "q2"], ["p2", "q1"], ["q1", "q2"]]
-
-
-def test_x_complexes_drop_isolated_points():
-    p = fp.build_poset(["m", "a1", "a2"], [("a1", "a2")])
-    g = fp.rank_function(p)
-    xs = fp.x_complexes(g, {"m", "a1", "a2"})
-    assert xs[0].vertices == ("a1", "a2")
+def test_layer_sides_drop_isolated_points():
+    # m is a rank-1 maximal element: its variable splits off as its own
+    # Koszul factor, so it sits on no side
+    g = fp.rank_function(fp.build_poset(["m", "a1", "a2"], [("a1", "a2")]))
+    assert fp.complexes.layer_sides(g, {"m", "a1", "a2"}) \
+        == [(("a1",), ("a2",))]

@@ -6,86 +6,98 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagposet as fp
-from flagposet.complexes import IRRELEVANT, VOID, full_simplex
 from flagposet.errors import BudgetExceeded, InvalidParameter, VariableClash
 from flagposet.fields import GF, GF2, QQ, LaurentPoly, poly_from_dims
-from conftest import RP2_FACETS, rp2_flag_poset, sweep_poset
+from conftest import RP2_FACETS, downward_closure, rp2_flag_poset, sweep_poset
 
 t = LaurentPoly.t_power
 FIELDS = [GF2, GF(32003), QQ]
 TABLE_FIELDS = [GF2, GF(3), GF(32003), QQ]
 
 
-def sc(vertices, facets):
-    return fp.SimplicialComplex(vertices, [frozenset(f) for f in facets])
+def cohomology(nonfaces, mask, f=GF2):
+    """H(X, t) of the complex on ``mask`` whose nonfaces are ``nonfaces``."""
+    faces = fp.kernel.faces_from_nonfaces(nonfaces, mask)
+    return poly_from_dims(fp.kernel.cohomology_dims(faces, f.p or 0))
 
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_cohomology_conventions(f):
-    assert fp.reduced_cohomology_poly(VOID, f) == LaurentPoly.zero()
-    assert fp.reduced_cohomology_poly(IRRELEVANT, f) == t(-1)
-    assert fp.reduced_cohomology_poly(sc("ab", [("a",), ("b",)]), f) == t(0)
-    hollow = sc("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    assert fp.reduced_cohomology_poly(hollow, f) == t(1)
-    four = sc("wxyz", [("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")])
-    assert fp.reduced_cohomology_poly(four, f) == t(1)
-    assert fp.reduced_cohomology_poly(full_simplex("abc"), f) \
+    pair = fp.SquarefreeIdeal("ab", [frozenset("ab")])
+    # A = {} restricts to {empty face}; no generator inside A to a simplex
+    assert fp.restriction_cohomology_poly(pair, (), f) == t(-1)
+    assert fp.restriction_cohomology_poly(pair, "a", f) == LaurentPoly.zero()
+    assert fp.restriction_cohomology_poly(pair, "ab", f) == t(0)
+    hollow = fp.SquarefreeIdeal("abc", [frozenset("abc")])
+    assert fp.restriction_cohomology_poly(hollow, "abc", f) == t(1)
+    assert fp.restriction_cohomology_poly(hollow, "ab", f) \
         == LaurentPoly.zero()
+    four = fp.SquarefreeIdeal("wxyz", [frozenset("wy"), frozenset("xz")])
+    assert fp.restriction_cohomology_poly(four, "wxyz", f) == t(1)
 
 
 def test_projective_plane_detects_characteristic():
     # minimal 6-vertex triangulation; homology differs between GF(2)
     # and the rationals, so the exact linear algebra is really exact
-    rp2 = sc("123456", [set(f) for f in RP2_FACETS])
-    assert fp.reduced_cohomology_poly(rp2, GF2) == LaurentPoly({1: 1, 2: 1})
-    assert fp.reduced_cohomology_poly(rp2, QQ) == LaurentPoly.zero()
-    assert fp.reduced_cohomology_poly(rp2, GF(32003)) == LaurentPoly.zero()
+    facets = [sum(1 << int(v) - 1 for v in f) for f in RP2_FACETS]
+    faces = downward_closure(facets, 6)
+
+    def rp2(f):
+        return poly_from_dims(fp.kernel.cohomology_dims(faces, f.p or 0))
+
+    assert rp2(GF2) == LaurentPoly({1: 1, 2: 1})
+    assert rp2(QQ) == LaurentPoly.zero()
+    assert rp2(GF(32003)) == LaurentPoly.zero()
 
 
-def _random_complex(rng_bits: int, vertices: str):
-    faces = []
-    options = [frozenset(s) for k in (1, 2, 3)
-               for s in itertools.combinations(vertices, k)]
-    for k, f in enumerate(options):
-        if (rng_bits >> k) & 1:
-            faces.append(f)
-    return fp.SimplicialComplex(vertices, faces or [frozenset()])
+FIVE = 0b11111
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**25 - 1),
-       st.integers(min_value=0, max_value=2**25 - 1))
-def test_join_formula(bits_x, bits_y):
-    x = _random_complex(bits_x, "abcde")
-    y = _random_complex(bits_y, "vwxyz")
+@given(st.lists(st.integers(min_value=0, max_value=FIVE), max_size=6),
+       st.lists(st.integers(min_value=0, max_value=FIVE), max_size=6))
+def test_join_formula(x_nonfaces, y_nonfaces):
+    # X on vertices 0..4 and Y on 5..9; X * Y is the complex on all ten
+    # whose nonfaces are both lists
+    y_nonfaces = [n << 5 for n in y_nonfaces]
     for f in (GF2, GF(32003)):
-        lhs = fp.reduced_cohomology_poly(fp.join(x, y), f)
-        rhs = t(1) * fp.reduced_cohomology_poly(x, f) \
-            * fp.reduced_cohomology_poly(y, f)
-        assert lhs == rhs
+        x = cohomology(x_nonfaces, FIVE, f)
+        y = cohomology(y_nonfaces, FIVE << 5, f)
+        assert cohomology(x_nonfaces + y_nonfaces, FIVE | FIVE << 5, f) \
+            == t(1) * x * y
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**25 - 1))
-def test_suspension_formula(bits):
-    x = _random_complex(bits, "abcde")
-    assert fp.reduced_cohomology_poly(fp.suspension(x)) \
-        == t(1) * fp.reduced_cohomology_poly(x)
+@given(st.lists(st.integers(min_value=0, max_value=FIVE), max_size=6))
+def test_suspension_formula(x_nonfaces):
+    # the suspension of X on vertices 0..4 is its join with the two points
+    # s0 = 5, s1 = 6, i.e. the complex with the extra nonface {s0, s1}
+    for f in (GF2, GF(32003)):
+        assert cohomology(x_nonfaces + [0b1100000], FIVE | 0b1100000, f) \
+            == t(1) * cohomology(x_nonfaces, FIVE, f)
 
 
 def test_layer_suspension_relation(corpus_b):
-    # independence complex of a layer = suspension of its y-complex,
-    # at the level of cohomology polynomials (nonempty top side)
+    # the independence complex of a layer is the suspension of its
+    # Y-complex, the complex on the top side whose facets are top - N(a)
+    # over the bottom vertices a, at the level of cohomology polynomials
+    # (nonempty top side)
     checked = 0
     for g in corpus_b[:60]:
         for i in range(1, g.rbar()):
             layer = fp.layer_pair(g, i, trim=True)
             if not layer.top:
                 continue
-            x = fp.independence_complex(layer.bottom + layer.top, layer.edges)
-            lhs = fp.reduced_cohomology_poly(x)
-            rhs = t(1) * fp.reduced_cohomology_poly(fp.y_complex(layer))
-            assert lhs == rhs
+            bit = {v: 1 << k
+                   for k, v in enumerate(layer.bottom + layer.top)}
+            top = sum(bit[v] for v in layer.top)
+            edges = [bit[a] | bit[b] for a, b in layer.edges]
+            lhs = cohomology(edges, top | sum(bit[v] for v in layer.bottom))
+            facets = [top & ~sum(bit[b] for b in layer.neighbors_bottom(a))
+                      for a in layer.bottom]
+            faces = downward_closure(facets, top.bit_length())
+            y = fp.kernel.cohomology_dims(faces, 2)
+            assert lhs == t(1) * poly_from_dims(y)
             checked += 1
     assert checked > 50
 
@@ -105,7 +117,7 @@ def test_betti_multidegree():
         fp.betti_multidegree(ideal, g.elements, budget=4)
 
 
-def test_betti_polynomials(corpus_b):
+def test_betti_polynomials():
     g = fp.hom_rt_poset(3, 2)
     chain = ("a1_1", "a2_1", "a3_1")
     assert fp.betti_polynomial_fast(g, chain) == t(3)
@@ -115,17 +127,6 @@ def test_betti_polynomials(corpus_b):
     two = fp.rank_function(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"), [("p1", "q1"), ("p2", "q2")]))
     assert fp.betti_polynomial_fast(two, ("p1", "p2", "q1", "q2")) == t(3)
-    # the layer product is t^rbar times the cohomology of the public
-    # layer complexes
-    nonzero = 0
-    for g in corpus_b[:30]:
-        for a in fp.lcm_lattice(fp.flag_ideal(g))[:25]:
-            product = t(g.rbar())
-            for x in fp.x_complexes(g, a):
-                product = product * fp.reduced_cohomology_poly(x)
-            assert product == fp.betti_polynomial_fast(g, a), (g, a)
-            nonzero += not product.is_zero()
-    assert nonzero > 100
 
 
 def test_lcm_lattice_order(corpus_b):

@@ -1,7 +1,7 @@
 """The pure kernel against hand-checked values and independent
 references: plain dense elimination (Fractions over QQ, integers mod p
-over GF(p)), a brute-force subset filter and a brute-force downward
-closure, on seeded random inputs.
+over GF(p)) and a brute-force subset filter, on seeded random inputs
+and on two torsion complexes listed by downward closure.
 """
 
 import random
@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from flagposet import _kernel_py
+from conftest import downward_closure
 
 
 def _rank_reference(rows, p=0):
@@ -151,23 +152,6 @@ def test_faces_from_nonfaces_matches_subset_filter():
             (gens, sub)
 
 
-def test_faces_from_facets_semantics():
-    assert _kernel_py.faces_from_facets([]) == []
-    assert _kernel_py.faces_from_facets([0]) == [0]
-    assert _kernel_py.faces_from_facets([0b11, 0b101]) \
-        == [0, 1, 2, 3, 4, 5]
-
-
-def test_faces_from_facets_matches_downward_closure():
-    rng = random.Random(8)
-    for _ in range(200):
-        nverts = rng.randrange(1, 9)
-        facets = [rng.getrandbits(nverts) for _ in range(rng.randrange(0, 5))]
-        expected = [s for s in range(1 << nverts)
-                    if any(s & ~f == 0 for f in facets)]
-        assert _kernel_py.faces_from_facets(facets) == expected, facets
-
-
 # the six-vertex projective plane: torsion only, so QQ sees no
 # cohomology while GF(2) does
 RP2_FACETS = [0b010011, 0b100011, 0b001101, 0b100101, 0b011001, 0b001110,
@@ -184,8 +168,7 @@ def _moore_space_faces():
         a, b = i % 3, (i + 1) % 3
         facets += [(a, b, ring[i]), (b, ring[i], ring[i + 1]),
                    (ring[i], ring[i + 1], 12)]
-    return _kernel_py.faces_from_facets(
-        [sum(1 << v for v in f) for f in facets])
+    return downward_closure([sum(1 << v for v in f) for f in facets], 13)
 
 
 def _random_complexes():
@@ -247,7 +230,7 @@ def test_cohomology_dims_matches_reference_elimination(p):
 
 
 def test_cohomology_dims_over_qq_matches_fraction_elimination():
-    faces = _kernel_py.faces_from_facets(RP2_FACETS)
+    faces = downward_closure(RP2_FACETS, 6)
     assert _kernel_py.cohomology_dims(faces, 0) \
         == _cohomology_dims_reference(faces) == [0, 0, 0, 0]
     assert _kernel_py.cohomology_dims(faces, 2) == [0, 0, 1, 1]
@@ -298,5 +281,5 @@ def test_morse_cohomology_dims_matches_reference(p, monkeypatch):
     assert fell_back < len(random_lists) // 10, fell_back
     # torsion puts cohomology over GF(2) or GF(3) in two degrees, so the
     # critical faces of any matching span two cardinalities
-    assert check(_kernel_py.faces_from_facets(RP2_FACETS))
+    assert check(downward_closure(RP2_FACETS, 6))
     assert check(_moore_space_faces())

@@ -1,12 +1,18 @@
 """The layering rule: no module of the package reaches into another
 module's private names.  A module may not import a ``_``-name from
 another package module, nor read a ``_``-prefixed attribute that it does
-not define itself.  Tests and the benchmark are exempt."""
+not define itself.  Tests and the benchmark are exempt.  The benchmark's
+tracer reaches the layers from outside, by module name, so it must find
+every module it names and put back every binding it wraps."""
 
 import ast
+import importlib
 import pathlib
+import sys
 
 import pytest
+
+from conftest import perfbench_module
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "flagposet"
 
@@ -65,3 +71,33 @@ def test_private_reaches_finds_the_reach(source, found):
                          ids=lambda path: path.name)
 def test_no_module_reaches_into_another(path):
     assert private_reaches(path.read_text()) == []
+
+
+def _bindings():
+    """Every module-level binding of the loaded package modules."""
+    return {(name, attr): value
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "flagposet"
+            for attr, value in list(vars(module).items())}
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # the benchmark's tracer imports every module it names as a layer
+    # and wraps its public functions wherever they are bound; a module
+    # it names that is gone, or a binding left wrapped, fails here
+    layertrace = perfbench_module("layertrace")
+    for names in layertrace.LAYERS.values():
+        for name in names:
+            importlib.import_module(name)
+    before = _bindings()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        wrapped = [key for key, value in _bindings().items()
+                   if value is not before.get(key)]
+        assert ("flagposet.homology", "full_betti_table") in wrapped
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
