@@ -9,11 +9,15 @@ with a layer-product fast path for multigraded Betti polynomials.
 
 from .characterize import (
     ChainDecomposition,
+    Filtration,
     Verdict,
     check_cm_structural,
     check_unmixed_structural,
     check_weak_conditions,
     classification_report,
+    dual_variable_order,
+    filtration_to_monomial,
+    filtrations,
     has_2k2,
     has_linear_resolution_structural,
     herzog_hibi_bipartite_cm,
@@ -21,8 +25,6 @@ from .characterize import (
     is_ferrers,
 )
 from .covers import (
-    IndependentSet,
-    VertexCover,
     covering_number,
     height,
     is_unmixed_bruteforce,
@@ -67,13 +69,9 @@ from .homology import (
     restriction_cohomology_poly,
 )
 from .ideals import (
-    Filtration,
     SquarefreeIdeal,
     alexander_dual,
-    dual_variable_order,
     evaluate_to_one,
-    filtration_to_monomial,
-    filtrations,
     flag_ideal,
     has_linear_quotients,
     is_weakly_polymatroidal,
@@ -83,13 +81,11 @@ from .ideals import (
 )
 from .posets import (
     BipartiteLayer,
-    Chain,
     GradedPoset,
     Poset,
     antichain,
     are_isomorphic,
     bipartite_poset,
-    build_poset,
     chain,
     connected_components,
     example_3_4,

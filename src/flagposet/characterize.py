@@ -25,6 +25,10 @@ decomposition found therefore has a monotone labeling exactly when the
 poset is Cohen-Macaulay, and its chains also give the bi-Cohen-Macaulay
 isomorphism onto the two-chain grid.
 
+The certificate's readers sit next to it: the level filtrations of a
+chain-decomposed poset, the minimal vertex cover each one picks, and the
+variable order under which the Alexander dual is weakly polymatroidal.
+
 Everything here is pure and deterministic; verdicts carry either a
 certificate (when true) or a concrete witness (when false).
 """
@@ -33,7 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import covers, homology
 from .errors import InvalidCertificate, InvalidParameter
+from .fields import GF2
+from .ideals import flag_ideal
 from .posets import (
     BipartiteLayer,
     GradedPoset,
@@ -412,8 +419,6 @@ def is_ferrers(layer: BipartiteLayer) -> Verdict:
 
 def has_linear_resolution_structural(g: GradedPoset) -> Verdict:
     """Pure, and every consecutive-rank layer is a Ferrers graph."""
-    if not g.elements:
-        return Verdict(True, certificate={"layers": []})
     if not g.is_pure():
         ranks = sorted({g.rank[e] for e in g.poset.maximal_elements()})
         return Verdict(False, witness={"impure": {"maximal_ranks": ranks}})
@@ -509,6 +514,108 @@ def herzog_hibi_bipartite_cm(layer: BipartiteLayer) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Filtrations attached to a chain-decomposition certificate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Filtration:
+    """Nested chain-label sets J_1 >= J_2 >= ... >= J_r (0-based labels),
+    each J_i up-closed in the layer relation between ranks i-1 and i."""
+
+    levels: tuple[frozenset[int], ...]
+
+    def exit_rank(self, label: int) -> int:
+        return max(i + 1 for i, level in enumerate(self.levels)
+                   if label in level)
+
+
+def _validate_certificate(cert) -> tuple[GradedPoset, tuple[tuple[str, ...], ...]]:
+    g = getattr(cert, "graded", None)
+    chains = getattr(cert, "chains", None)
+    if not isinstance(g, GradedPoset) or chains is None:
+        raise InvalidCertificate("need a chain-decomposition certificate")
+    # constructing the decomposition runs its checks
+    return g, ChainDecomposition(g, tuple(tuple(c) for c in chains)).chains
+
+
+def _layer_relation(g: GradedPoset, chains, i: int) -> tuple[list[int], dict]:
+    """Ground labels alive at rank i and the relation k <= j given by a
+    cover from chain k's rank-(i-1) element to chain j's rank-i element."""
+    ground = [u for u, c in enumerate(chains) if len(c) >= i]
+    rel = {u: set() for u in ground}
+    for j in ground:
+        for k in ground:
+            if k == j:
+                rel[k].add(j)
+            elif g.poset.is_cover(chains[k][i - 2], chains[j][i - 1]):
+                rel[k].add(j)
+    return ground, rel
+
+
+def filtrations(cert) -> list[Filtration]:
+    """All level filtrations of a chain-decomposed poset.
+
+    Level 1 contains every chain label; level i must be a subset of
+    level i-1, live on chains of length >= i, and be up-closed in the
+    layer relation between ranks i-1 and i.
+    """
+    g, chains = _validate_certificate(cert)
+    r = g.rbar()
+    labels = frozenset(range(len(chains)))
+    if r == 0:
+        return []
+    results: list[Filtration] = []
+    grounds = {}
+    rels = {}
+    for i in range(2, r + 1):
+        grounds[i], rels[i] = _layer_relation(g, chains, i)
+
+    def descend(i: int, prefix: list[frozenset[int]]) -> None:
+        if i > r:
+            results.append(Filtration(tuple(prefix)))
+            return
+        pool = sorted(set(prefix[-1]) & set(grounds[i]))
+        for bits in range(1 << len(pool)):
+            subset = frozenset(pool[k] for k in range(len(pool))
+                               if (bits >> k) & 1)
+            rel = rels[i]
+            if all(rel[k] <= subset for k in subset):
+                descend(i + 1, prefix + [subset])
+
+    descend(2, [labels])
+    results.sort(key=lambda f: tuple(sorted(level) for level in f.levels))
+    return results
+
+
+def filtration_to_monomial(filt: Filtration, cert) -> frozenset[str]:
+    """The vertex cover picking, on each chain, the element at the
+    chain's exit rank."""
+    _, chains = _validate_certificate(cert)
+    return frozenset(chains[u][filt.exit_rank(u) - 1]
+                     for u in range(len(chains)))
+
+
+def dual_variable_order(cert) -> tuple[str, ...]:
+    """Variable order under which the Alexander dual of a chain-
+    decomposed Cohen-Macaulay poset is weakly polymatroidal: later
+    chain first, higher rank first within a chain.
+
+    The chain index is the primary key.  The exchange that witnesses
+    the property swaps two elements of one chain, moving the cover
+    element up in rank, so the swapped-out variable must come later in
+    the order than the swapped-in one whenever both sit on the same
+    chain; ordering by rank first instead breaks the exchange on
+    impure posets (a higher-rank element of an earlier chain would be
+    scanned before lower-rank elements of later chains)."""
+    g, chains = _validate_certificate(cert)
+    position = {}
+    for u, c in enumerate(chains):
+        for e in c:
+            position[e] = (-u, -g.rank[e])
+    return tuple(sorted(g.elements, key=lambda e: position[e]))
+
+
+# ---------------------------------------------------------------------------
 # Classification report
 # ---------------------------------------------------------------------------
 
@@ -538,17 +645,11 @@ def classification_report(p: Poset | GradedPoset, f=None,
     fields are null.  ``budgets`` may set ``cover_enum`` and
     ``betti_vars``; any other key raises ``InvalidParameter``.
     """
-    from .covers import (DEFAULT_COVER_BUDGET, check_cover_budget,
-                         is_unmixed_bruteforce)
-    from .fields import GF2
-    from .homology import DEFAULT_BETTI_VARS, oracle_verdicts
-    from .ideals import flag_ideal
-
     if f is None:
         f = GF2
     b = {
-        "cover_enum": DEFAULT_COVER_BUDGET,
-        "betti_vars": DEFAULT_BETTI_VARS,
+        "cover_enum": covers.DEFAULT_COVER_BUDGET,
+        "betti_vars": homology.DEFAULT_BETTI_VARS,
     }
     unknown = sorted(set(budgets or ()) - set(b))
     if unknown:
@@ -581,10 +682,10 @@ def classification_report(p: Poset | GradedPoset, f=None,
     # the flag ideal lists every maximal chain, so the transversal budget
     # fires before it and both oracles; the Betti one fires at the start
     # of oracle_verdicts
-    check_cover_budget(len(poset), b["cover_enum"])
+    covers.check_cover_budget(len(poset), b["cover_enum"])
     ideal = flag_ideal(g)
-    cm_o, lr_o = oracle_verdicts(ideal, f, b["betti_vars"])
-    unmixed_o = is_unmixed_bruteforce(g, b["cover_enum"])
+    cm_o, lr_o = homology.oracle_verdicts(ideal, f, b["betti_vars"])
+    unmixed_o = covers.is_unmixed_bruteforce(g, b["cover_enum"])
     report.update({
         "pure": g.is_pure(),
         "connected": len(connected_components(poset)) <= 1,

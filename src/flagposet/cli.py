@@ -31,7 +31,6 @@ from .homology import (
 from .ideals import flag_ideal
 from .posets import (
     DEFAULT_ISO_BUDGET,
-    GradedPoset,
     Poset,
     are_isomorphic,
     example_3_4,
@@ -99,8 +98,7 @@ def _example(token: str) -> Poset:
         "4.9": lambda: example_4_9().poset,
     }
     if token in named:
-        out = named[token]()
-        return out.poset if isinstance(out, GradedPoset) else out
+        return named[token]()
     if token.startswith("hom:"):
         try:
             r, t = (int(x) for x in token[4:].split(","))

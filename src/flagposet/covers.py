@@ -11,7 +11,6 @@ BudgetExceeded rather than truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernel
@@ -19,17 +18,6 @@ from .errors import BudgetExceeded
 from .posets import GradedPoset, maximal_chains
 
 DEFAULT_COVER_BUDGET = 24
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    cover: frozenset[str]
-    minimal: bool
-
-
-@dataclass(frozen=True)
-class IndependentSet:
-    elements: frozenset[str]
 
 
 def check_cover_budget(size: int, budget: int) -> None:
@@ -123,18 +111,17 @@ def is_vertex_cover(g: GradedPoset, candidate: Iterable[str]) -> bool:
 
 
 def minimal_vertex_covers(g: GradedPoset,
-                          budget: int = DEFAULT_COVER_BUDGET) -> list[VertexCover]:
+                          budget: int = DEFAULT_COVER_BUDGET) -> list[frozenset[str]]:
     """All minimal transversals of the maximal-chain hypergraph."""
     check_cover_budget(len(g.elements), budget)
-    chains = [frozenset(c.elements) for c in maximal_chains(g)]
-    covers = minimal_transversals(chains, g.elements, budget)
-    return [VertexCover(c, minimal=True) for c in covers]
+    chains = [frozenset(c) for c in maximal_chains(g)]
+    return minimal_transversals(chains, g.elements, budget)
 
 
 def covering_number(g: GradedPoset,
                     budget: int = DEFAULT_COVER_BUDGET) -> int:
     covers = minimal_vertex_covers(g, budget)
-    return min((len(c.cover) for c in covers), default=0)
+    return min((len(c) for c in covers), default=0)
 
 
 def height(g: GradedPoset, budget: int = DEFAULT_COVER_BUDGET) -> int:
@@ -150,13 +137,12 @@ def krull_dim(g: GradedPoset, budget: int = DEFAULT_COVER_BUDGET) -> int:
 def is_unmixed_bruteforce(g: GradedPoset,
                           budget: int = DEFAULT_COVER_BUDGET) -> bool:
     """True iff all minimal vertex covers share one cardinality."""
-    sizes = {len(c.cover) for c in minimal_vertex_covers(g, budget)}
+    sizes = {len(c) for c in minimal_vertex_covers(g, budget)}
     return len(sizes) <= 1
 
 
 def maximal_independent_sets(g: GradedPoset,
-                             budget: int = DEFAULT_COVER_BUDGET) -> list[IndependentSet]:
+                             budget: int = DEFAULT_COVER_BUDGET) -> list[frozenset[str]]:
     """Complements of the minimal vertex covers."""
     universe = frozenset(g.elements)
-    return [IndependentSet(universe - c.cover)
-            for c in minimal_vertex_covers(g, budget)]
+    return [universe - c for c in minimal_vertex_covers(g, budget)]

@@ -457,11 +457,7 @@ def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     computed from the ideal's own Betti table; a disagreement would be
     an internal error, not a value.
     """
-    if not ideal.generators:
-        return True
-    # the ideal's own table enforces the variable budget before the
-    # dual's transversal enumeration starts
-    return _cm_verdict(ideal, full_betti_table(ideal, f, budget), f, budget)
+    return oracle_verdicts(ideal, f, budget)[0]
 
 
 def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
@@ -470,6 +466,8 @@ def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     Betti table of the ideal, shared by both verdicts."""
     if not ideal.generators:
         return True, True
+    # the ideal's own table enforces the variable budget before the
+    # dual's transversal enumeration starts
     table = full_betti_table(ideal, f, budget)
     return _cm_verdict(ideal, table, f, budget), _linear_verdict(ideal, table)
 

@@ -4,23 +4,20 @@ Monomials are variable subsets (every ideal in scope is squarefree), and
 an ideal is its minimal generating antichain over an ordered variable
 list.  Includes flag ideals and partial flag ideals of graded posets,
 Alexander duality, variable evaluation, the weakly-polymatroidal and
-linear-quotients checks, letterplace and co-letterplace generators, and
-the filtration correspondence attached to chain-decomposition
-certificates of Cohen-Macaulay posets.
+linear-quotients checks, and letterplace and co-letterplace generators.
+The filtrations of a chain-decomposition certificate live with the
+certificate, in ``characterize``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernel
-from .characterize import ChainDecomposition
 from .covers import DEFAULT_COVER_BUDGET, minimal_transversals
 from .errors import (
     BudgetExceeded,
-    InvalidCertificate,
     InvalidParameter,
     NotAVPoset,
     NotEquigenerated,
@@ -122,7 +119,7 @@ def flag_ideal(g: GradedPoset) -> SquarefreeIdeal:
     """Generators are the supports of the maximal chains; distinct
     maximal chains are automatically inclusion-incomparable."""
     return SquarefreeIdeal(g.elements,
-                           [frozenset(c.elements) for c in maximal_chains(g)])
+                           [frozenset(c) for c in maximal_chains(g)])
 
 
 def partial_flag_ideal(g: GradedPoset, ranks) -> SquarefreeIdeal:
@@ -264,7 +261,7 @@ def _v_poset_chains(q: Poset) -> tuple[str, list[str], list[str]]:
     chains = maximal_chains(q)
     if len(chains) != 2:
         raise NotAVPoset("need exactly two maximal chains")
-    c1, c2 = chains[0].elements, chains[1].elements
+    c1, c2 = chains
     root = minimals[0]
     if c1[0] != root or c2[0] != root:
         raise NotAVPoset("both maximal chains must start at the root")
@@ -301,105 +298,3 @@ def _monotone_tuples(lo: int, hi: int, length: int):
     for v in range(lo, hi + 1):
         for rest in _monotone_tuples(v, hi, length - 1):
             yield (v,) + rest
-
-
-# ---------------------------------------------------------------------------
-# Filtrations attached to a chain-decomposition certificate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Filtration:
-    """Nested chain-label sets J_1 >= J_2 >= ... >= J_r (0-based labels),
-    each J_i up-closed in the layer relation between ranks i-1 and i."""
-
-    levels: tuple[frozenset[int], ...]
-
-    def exit_rank(self, label: int) -> int:
-        return max(i + 1 for i, level in enumerate(self.levels)
-                   if label in level)
-
-
-def _validate_certificate(cert) -> tuple[GradedPoset, tuple[tuple[str, ...], ...]]:
-    g = getattr(cert, "graded", None)
-    chains = getattr(cert, "chains", None)
-    if not isinstance(g, GradedPoset) or chains is None:
-        raise InvalidCertificate("need a chain-decomposition certificate")
-    # constructing the decomposition runs its checks
-    return g, ChainDecomposition(g, tuple(tuple(c) for c in chains)).chains
-
-
-def _layer_relation(g: GradedPoset, chains, i: int) -> tuple[list[int], dict]:
-    """Ground labels alive at rank i and the relation k <= j given by a
-    cover from chain k's rank-(i-1) element to chain j's rank-i element."""
-    ground = [u for u, c in enumerate(chains) if len(c) >= i]
-    rel = {u: set() for u in ground}
-    for j in ground:
-        for k in ground:
-            if k == j:
-                rel[k].add(j)
-            elif g.poset.is_cover(chains[k][i - 2], chains[j][i - 1]):
-                rel[k].add(j)
-    return ground, rel
-
-
-def filtrations(cert) -> list[Filtration]:
-    """All level filtrations of a chain-decomposed poset.
-
-    Level 1 contains every chain label; level i must be a subset of
-    level i-1, live on chains of length >= i, and be up-closed in the
-    layer relation between ranks i-1 and i.
-    """
-    g, chains = _validate_certificate(cert)
-    r = g.rbar()
-    labels = frozenset(range(len(chains)))
-    if r == 0:
-        return []
-    results: list[Filtration] = []
-    grounds = {}
-    rels = {}
-    for i in range(2, r + 1):
-        grounds[i], rels[i] = _layer_relation(g, chains, i)
-
-    def descend(i: int, prefix: list[frozenset[int]]) -> None:
-        if i > r:
-            results.append(Filtration(tuple(prefix)))
-            return
-        pool = sorted(set(prefix[-1]) & set(grounds[i]))
-        for bits in range(1 << len(pool)):
-            subset = frozenset(pool[k] for k in range(len(pool))
-                               if (bits >> k) & 1)
-            rel = rels[i]
-            if all(rel[k] <= subset for k in subset):
-                descend(i + 1, prefix + [subset])
-
-    descend(2, [labels])
-    results.sort(key=lambda f: tuple(sorted(level) for level in f.levels))
-    return results
-
-
-def filtration_to_monomial(filt: Filtration, cert) -> frozenset[str]:
-    """The vertex cover picking, on each chain, the element at the
-    chain's exit rank."""
-    _, chains = _validate_certificate(cert)
-    return frozenset(chains[u][filt.exit_rank(u) - 1]
-                     for u in range(len(chains)))
-
-
-def dual_variable_order(cert) -> tuple[str, ...]:
-    """Variable order under which the Alexander dual of a chain-
-    decomposed Cohen-Macaulay poset is weakly polymatroidal: later
-    chain first, higher rank first within a chain.
-
-    The chain index is the primary key.  The exchange that witnesses
-    the property swaps two elements of one chain, moving the cover
-    element up in rank, so the swapped-out variable must come later in
-    the order than the swapped-in one whenever both sit on the same
-    chain; ordering by rank first instead breaks the exchange on
-    impure posets (a higher-rank element of an earlier chain would be
-    scanned before lower-rank elements of later chains)."""
-    g, chains = _validate_certificate(cert)
-    position = {}
-    for u, c in enumerate(chains):
-        for e in c:
-            position[e] = (-u, -g.rank[e])
-    return tuple(sorted(g.elements, key=lambda e: position[e]))

@@ -187,11 +187,6 @@ class Poset:
         return self.index(b) in self.child_indices[self.index(a)]
 
 
-def build_poset(elements, cover_pairs) -> Poset:
-    """Validate and build a poset from element ids and cover pairs."""
-    return Poset(elements, cover_pairs)
-
-
 class GradedPoset:
     """A poset together with its rank function.
 
@@ -291,22 +286,7 @@ def rank_function(p: Poset) -> GradedPoset | None:
     return GradedPoset(p, dict(zip(p.elements, rank)))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A chain of poset elements, ordered bottom to top."""
-
-    elements: tuple[str, ...]
-    saturated: bool
-    maximal: bool
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def maximal_chains(p: Poset | GradedPoset) -> list[Chain]:
+def maximal_chains(p: Poset | GradedPoset) -> list[tuple[str, ...]]:
     """All maximal chains, sorted lexicographically by id sequence."""
     poset = p.poset if isinstance(p, GradedPoset) else p
     out: list[tuple[str, ...]] = []
@@ -325,7 +305,7 @@ def maximal_chains(p: Poset | GradedPoset) -> list[Chain]:
     for e in poset.minimal_elements():
         descend(e)
     out.sort()
-    return [Chain(c, saturated=True, maximal=True) for c in out]
+    return out
 
 
 def rank_selection(g: GradedPoset, ranks) -> GradedPoset:

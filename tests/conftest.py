@@ -86,7 +86,7 @@ def generated_chain_posets(count):
         covers += [(a[r], b[r + 1]) for a in chains for b in chains
                    if a is not b for r in range(min(len(a), len(b)) - 1)
                    if rng.random() < q]
-        g = fp.rank_function(fp.build_poset(
+        g = fp.rank_function(fp.Poset(
             [e for c in chains for e in c], covers))
         if not g.is_pure() or 1 in lengths:
             out.append(g)

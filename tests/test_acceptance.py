@@ -57,8 +57,8 @@ def test_criterion_1_paper_examples_exact():
 
     g34 = fp.example_3_4()
     covers = fp.minimal_vertex_covers(g34)
-    sizes = Counter(len(c.cover) for c in covers)
-    big = [c.cover for c in covers if len(c.cover) == 4]
+    sizes = Counter(len(c) for c in covers)
+    big = [c for c in covers if len(c) == 4]
     if fp.is_unmixed_bruteforce(g34) or fp.check_unmixed_structural(g34).value:
         ok, notes = False, notes + ["3.4 unmixed"]
     if sizes[4] != 1 or set(sizes) != {3, 4} \

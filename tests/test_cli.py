@@ -150,6 +150,25 @@ def test_letterplace_example_token(tmp_path):
     assert report["bi_cm"] is True
 
 
+def test_empty_poset(tmp_path):
+    # a file with no elements parses, and every command answers on it
+    path = tmp_path / "empty.poset"
+    path.write_text("# flagposet v1\nelements:\n")
+    report = run_json(["classify", str(path)])
+    for key in ("unmixed", "cm", "linear_resolution"):
+        assert report[key] == {"structural": True, "oracle": True}
+    assert report["bi_cm"] is True and report["generators"] == 0
+    assert report["certificates"]["linear_resolution"] == {"layers": []}
+    assert report["certificates"]["bi_cm"]["hom_parameters"] is None
+    assert run(["betti", str(path), "--format", "csv"]) \
+        == (0, "j,|A|,A,beta\n")
+    table = run_json(["betti", str(path), "--fast", "--verify"])
+    assert table["entries"] == [] and table["verified"] is True
+    poly = run_json(["betti", str(path), "--multidegree", "", "--fast",
+                     "--verify"])
+    assert poly["betti_polynomial"] == {"1": 1}
+
+
 def test_exit_codes(tmp_path):
     code, _ = run(["classify", str(tmp_path / "missing.poset")])
     assert code == 1

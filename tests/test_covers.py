@@ -42,12 +42,12 @@ def reference_minimal_transversals(edges, universe):
 
 
 def _chain_hypergraph(g):
-    return [frozenset(c.elements) for c in fp.maximal_chains(g)], g.elements
+    return [frozenset(c) for c in fp.maximal_chains(g)], g.elements
 
 
 def brute_minimal_covers(g):
     """Independent oracle: scan all subsets of the ground set."""
-    chains = [frozenset(c.elements) for c in fp.maximal_chains(g)]
+    chains = [frozenset(c) for c in fp.maximal_chains(g)]
     elems = list(g.elements)
     covers = []
     for k in range(len(elems) + 1):
@@ -62,7 +62,7 @@ def reference_is_vertex_cover(g, candidate):
     """Independent reference: the candidate meets every listed maximal
     chain."""
     cset = set(candidate)
-    return all(cset & set(c.elements) for c in fp.maximal_chains(g))
+    return all(cset & set(c) for c in fp.maximal_chains(g))
 
 
 def test_is_vertex_cover():
@@ -91,8 +91,8 @@ def test_is_vertex_cover_matches_chain_listing(corpus_b):
         if k < len(corpus_b):
             # minimal covers, each also with one element taken out
             for c in fp.minimal_vertex_covers(g):
-                candidates.append(set(c.cover))
-                candidates.append(set(c.cover) - {min(c.cover)})
+                candidates.append(set(c))
+                candidates.append(set(c) - {min(c)})
         for c in candidates:
             got = fp.is_vertex_cover(g, c)
             assert got == reference_is_vertex_cover(g, c), (g, c)
@@ -123,19 +123,19 @@ def test_is_vertex_cover_lists_no_chains(monkeypatch):
 
 
 def test_minimal_cover_shapes():
-    assert [c.cover for c in fp.minimal_vertex_covers(fp.antichain(4))] \
+    assert fp.minimal_vertex_covers(fp.antichain(4)) \
         == [frozenset({"p1", "p2", "p3", "p4"})]
     singles = fp.minimal_vertex_covers(fp.chain(5))
-    assert sorted((c.cover for c in singles), key=sorted) \
+    assert sorted(singles, key=sorted) \
         == [frozenset({f"c{i}"}) for i in range(1, 6)]
 
 
 def test_example_3_4_cover_sizes():
     covers = fp.minimal_vertex_covers(fp.example_3_4())
-    sizes = Counter(len(c.cover) for c in covers)
+    sizes = Counter(len(c) for c in covers)
     assert sizes[4] == 1
     assert set(sizes) == {3, 4}
-    big = [c.cover for c in covers if len(c.cover) == 4]
+    big = [c for c in covers if len(c) == 4]
     assert big == [frozenset({"a1", "b1", "b3", "c3"})]
 
 
@@ -143,7 +143,7 @@ def test_example_3_4_cover_sizes():
 def test_minimal_covers_match_subset_scan(name):
     g = {"3.4": fp.example_3_4(), "3.6": fp.example_3_6(),
          "hom22": fp.hom_rt_poset(2, 2), "chain": fp.chain(4)}[name]
-    got = {c.cover for c in fp.minimal_vertex_covers(g)}
+    got = set(fp.minimal_vertex_covers(g))
     assert got == set(brute_minimal_covers(g))
 
 
@@ -166,31 +166,31 @@ def test_unmixed_bruteforce():
 
 def test_maximal_independent_sets_are_complements():
     g = fp.example_3_4()
-    covers = {c.cover for c in fp.minimal_vertex_covers(g)}
-    indep = {i.elements for i in fp.maximal_independent_sets(g)}
+    covers = set(fp.minimal_vertex_covers(g))
+    indep = set(fp.maximal_independent_sets(g))
     universe = frozenset(g.elements)
     assert indep == {universe - c for c in covers}
     # no maximal chain inside an independent set
-    chains = [frozenset(c.elements) for c in fp.maximal_chains(g)]
+    chains = [frozenset(c) for c in fp.maximal_chains(g)]
     for s in indep:
         assert not any(c <= s for c in chains)
-    assert [i.elements for i in fp.maximal_independent_sets(fp.antichain(3))] \
+    assert fp.maximal_independent_sets(fp.antichain(3)) \
         == [frozenset()]
     two = fp.chain(2)
-    assert {i.elements for i in fp.maximal_independent_sets(two)} \
+    assert set(fp.maximal_independent_sets(two)) \
         == {frozenset({"c1"}), frozenset({"c2"})}
 
 
 def test_covers_decompose_over_components():
-    p = fp.build_poset(["a1", "a2", "b1", "b2", "b3"],
-                       [("a1", "a2"), ("b1", "b2"), ("b2", "b3")])
+    p = fp.Poset(["a1", "a2", "b1", "b2", "b3"],
+                 [("a1", "a2"), ("b1", "b2"), ("b2", "b3")])
     g = fp.rank_function(p)
-    covers = {c.cover for c in fp.minimal_vertex_covers(g)}
+    covers = set(fp.minimal_vertex_covers(g))
     parts = [fp.rank_function(c) for c in fp.connected_components(p)]
     expected = set()
     for c1 in fp.minimal_vertex_covers(parts[0]):
         for c2 in fp.minimal_vertex_covers(parts[1]):
-            expected.add(c1.cover | c2.cover)
+            expected.add(c1 | c2)
     assert covers == expected
 
 
@@ -211,7 +211,7 @@ def test_cover_meets_each_certificate_chain_once():
         chains = verdict.certificate.chains
         for cover in fp.minimal_vertex_covers(g):
             for chain in chains:
-                assert len(cover.cover & set(chain)) == 1
+                assert len(cover & set(chain)) == 1
 
 
 def test_transversals_match_reference_on_posets(corpus_b):

@@ -203,7 +203,7 @@ def test_v_coletterplace_generators():
         fp.v_coletterplace_generators(fp.chain(3), 2)
     with pytest.raises(NotAVPoset):
         fp.v_coletterplace_generators(
-            fp.build_poset("abc", [("a", "c"), ("b", "c")]), 2)
+            fp.Poset("abc", [("a", "c"), ("b", "c")]), 2)
     q = fp.v_poset(1, 1)
     gens = fp.v_coletterplace_generators(q, 2)
     # isotone maps from the V poset on {a < b1, a < c1} to [2]
@@ -229,7 +229,7 @@ def test_filtrations_trivial_and_hom():
     cert = fp.check_cm_structural(hom).certificate
     filts = fp.filtrations(cert)
     assert len(filts) == 3
-    covers = {c.cover for c in fp.minimal_vertex_covers(hom)}
+    covers = set(fp.minimal_vertex_covers(hom))
     assert {fp.filtration_to_monomial(f, cert) for f in filts} == covers
 
 
@@ -237,7 +237,7 @@ def test_filtrations_match_covers_on_4_9():
     g = fp.example_4_9()
     cert = fp.check_cm_structural(g).certificate
     filts = fp.filtrations(cert)
-    covers = {c.cover for c in fp.minimal_vertex_covers(g)}
+    covers = set(fp.minimal_vertex_covers(g))
     assert len(filts) == len(covers)
     assert {fp.filtration_to_monomial(f, cert) for f in filts} == covers
 

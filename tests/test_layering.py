@@ -1,9 +1,11 @@
 """The layering rule: no module of the package reaches into another
 module's private names.  A module may not import a ``_``-name from
 another package module, nor read a ``_``-prefixed attribute that it does
-not define itself.  Tests and the benchmark are exempt.  The benchmark's
-tracer reaches the layers from outside, by module name, so it must find
-every module it names and put back every binding it wraps."""
+not define itself.  It imports package modules only at module top,
+never inside a function or method body, and the package's imports form
+no cycle.  Tests and the benchmark are exempt.  The benchmark's tracer
+reaches the layers from outside, by module name, so it must find every
+module it names and put back every binding it wraps."""
 
 import ast
 import importlib
@@ -20,6 +22,10 @@ SRC = pathlib.Path(__file__).parents[1] / "src" / "flagposet"
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__")
                                          and name.endswith("__"))
+
+
+def _in_package(module: str | None) -> bool:
+    return (module or "").split(".")[0] == "flagposet"
 
 
 def private_reaches(source: str) -> list[str]:
@@ -39,9 +45,8 @@ def private_reaches(source: str) -> list[str]:
             own.add(node.attr)
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").split(".")[0]
-                == "flagposet"):
+        if isinstance(node, ast.ImportFrom) and (node.level
+                                                 or _in_package(node.module)):
             out += [f"import {a.name}" for a in node.names
                     if _private(a.name)]
         elif (isinstance(node, ast.Attribute)
@@ -71,6 +76,86 @@ def test_private_reaches_finds_the_reach(source, found):
                          ids=lambda path: path.name)
 def test_no_module_reaches_into_another(path):
     assert private_reaches(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """The package imports that ``source`` makes inside a function or
+    method body, each as ``"<innermost function>: <import>"``, in order
+    of appearance."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if func is not None and isinstance(child, ast.ImportFrom) and (
+                    child.level or _in_package(child.module)):
+                out.append(f"{func}: from {'.' * child.level}"
+                           f"{child.module or ''}")
+            elif func is not None and isinstance(child, ast.Import):
+                out.extend(f"{func}: import {a.name}" for a in child.names
+                           if _in_package(a.name))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .posets import Poset\nfrom . import kernel\n"
+     "import flagposet.covers\n", []),
+    ("def f():\n    from .covers import check_cover_budget\n",
+     ["f: from .covers"]),
+    ("def f():\n    from flagposet import covers\n"
+     "    import flagposet.kernel as k\n",
+     ["f: from flagposet", "f: import flagposet.kernel"]),
+    ("class A:\n    def m(self):\n        from . import homology\n",
+     ["m: from ."]),
+    ("def f():\n    def g():\n        if True:\n"
+     "            from .ideals import flag_ideal\n",
+     ["g: from .ideals"]),
+    ("def f():\n    import json\n    from os import path\n"
+     "    import flagposet_extra\n", []),
+])
+def test_function_imports_finds_the_import(source, found):
+    assert function_imports(source) == found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_function_imports_the_package(path):
+    assert function_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports, anywhere in it."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= ({node.module.split(".")[0]} if node.module
+                    else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and _in_package(node.module):
+            out |= ({node.module.split(".")[1]} if "." in node.module
+                    else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if _in_package(a.name) and "." in a.name}
+    return out
+
+
+def test_package_imports_run_one_way():
+    # posets -> covers -> ideals -> homology -> characterize -> cli: the
+    # modules can be ordered so that each imports only earlier ones
+    deps = {path.stem: package_imports(path.read_text())
+            for path in SRC.glob("*.py") if path.stem != "__init__"}
+    done: list[str] = []
+    while len(done) < len(deps):
+        ready = sorted(m for m, d in deps.items()
+                       if m not in done and d <= set(done))
+        assert ready, f"import cycle among {sorted(set(deps) - set(done))}"
+        done += ready
+    assert done.index("ideals") < done.index("characterize")
 
 
 def _bindings():
