@@ -315,7 +315,7 @@ def test_excision_stopping_cases(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 0])
 def test_one_round_peels_every_single_vertex(p):
     def excised(nonfaces, mask):
-        dims = fp.homology._excised_dims(nonfaces, mask, p)
+        dims = fp.homology._excised_dims(nonfaces, mask, p, {})
         plain = fp.kernel.cohomology_dims(
             fp.kernel.faces_from_nonfaces(nonfaces, mask), p)
         assert poly_from_dims(dims) == poly_from_dims(plain), nonfaces
@@ -337,7 +337,9 @@ def test_one_round_peels_every_single_vertex(p):
 
 def test_excision_peels_example_4_9(monkeypatch):
     # the fewest-count vertex is looked for only where the matching runs:
-    # every other excision is one round of peeling
+    # every other excision is one round of peeling or a residual shape
+    # the table has met before; a second table counts the same, so no
+    # memo outlives its table
     calls = {"vertex": 0, "morse": 0}
     vertex = fp.homology._excision_vertex
     morse = fp.kernel.morse_cohomology_dims
@@ -352,8 +354,78 @@ def test_excision_peels_example_4_9(monkeypatch):
 
     monkeypatch.setattr(fp.homology, "_excision_vertex", counting_vertex)
     monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting_morse)
-    fp.full_betti_table(fp.flag_ideal(fp.example_4_9()), GF2)
-    assert calls == {"vertex": 286, "morse": 286}
+    ideal = fp.flag_ideal(fp.example_4_9())
+    for _ in range(2):
+        calls.update(vertex=0, morse=0)
+        fp.full_betti_table(ideal, GF2)
+        assert calls == {"vertex": 119, "morse": 119}
+
+
+@pytest.mark.parametrize("f", [GF2, GF(3), QQ], ids=str)
+def test_excision_memo_keys_residual_shapes(f, monkeypatch):
+    p = f.p or 0
+    morse_calls = []
+    morse = fp.kernel.morse_cohomology_dims
+
+    def counting_morse(face_masks, p):
+        morse_calls.append(len(face_masks))
+        return morse(face_masks, p)
+
+    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting_morse)
+
+    def excised(nonfaces, mask, memo):
+        dims = fp.homology._excised_dims(nonfaces, mask, p, memo)
+        plain = fp.kernel.cohomology_dims(
+            fp.kernel.faces_from_nonfaces(nonfaces, mask), p)
+        assert poly_from_dims(dims) == poly_from_dims(plain), \
+            (nonfaces, mask, f)
+        return dims
+
+    # seeded nonface families on at most 9 of 12 positions, with
+    # repeated, nested and empty nonfaces, all through one memo: a key
+    # that merged two different residual complexes would answer one of
+    # them wrongly
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(400):
+        verts = rng.sample(range(12), rng.randint(1, 9))
+        nonfaces = [sum(1 << v for v in
+                        rng.sample(verts, rng.randint(1, min(3, len(verts)))))
+                    for _ in range(rng.randint(0, 7))]
+        if nonfaces and rng.random() < 0.3:
+            nonfaces.append(rng.choice(nonfaces))
+        if nonfaces and rng.random() < 0.3:
+            nonfaces.append(rng.choice(nonfaces) | 1 << rng.choice(verts))
+        if rng.random() < 0.05:
+            nonfaces.append(0)
+        cases.append((nonfaces, sum(1 << v for v in verts)))
+    memo = {}
+    for nonfaces, mask in cases:
+        excised(nonfaces, mask, memo)
+    assert len(memo) == len(morse_calls)
+    # with a fresh memo per case the shapes that repeat are matched again
+    morse_calls.clear()
+    for nonfaces, mask in cases:
+        fp.homology._excised_dims(nonfaces, mask, p, {})
+    assert len(memo) < len(morse_calls)
+    # the 5-cycle of test_excision_stopping_cases and a copy moved up
+    # by five positions: one residual shape, one matching
+    cycle = [0b11] + [1 << i | 1 << i % 5 + 2 for i in range(2, 7)]
+    memo = {}
+    morse_calls.clear()
+    for shift in (0, 5):
+        dims = excised([n << shift for n in cycle], 0b1111111 << shift, memo)
+        assert dims == [0, 0, 0, 1]
+    assert len(memo) == len(morse_calls) == 1
+    # torsion survives a memo filled by the rest of the lcm lattice
+    ideal = _rp2_ideal()
+    gens = [sum(1 << "123456".index(v) for v in g) for g in ideal.generators]
+    memo = {}
+    for mask in fp.homology._lcm_masks(gens):
+        dims = excised([g for g in gens if not g & ~mask], mask, memo)
+    assert mask == 0b111111
+    expected = [0, 0, 1, 1, 0, 0] if f == GF2 else [0] * 6
+    assert fp.homology._betti_vector(dims, 6) == expected
 
 
 def _rp2_ideal():
