@@ -98,7 +98,6 @@ from .posets import (
     parse_poset_text,
     pentagon,
     poset_to_text,
-    rank_function,
     rank_selection,
     v_coletterplace_poset,
     v_poset,

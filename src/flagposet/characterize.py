@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import covers, homology
-from .errors import InvalidCertificate, InvalidParameter
+from .errors import InvalidCertificate, InvalidParameter, NotGraded
 from .fields import GF2
 from .ideals import flag_ideal
 from .posets import (
@@ -47,7 +47,6 @@ from .posets import (
     Poset,
     connected_components,
     layer_pair,
-    rank_function,
     rank_selection,
     topological_order,
 )
@@ -656,7 +655,10 @@ def classification_report(p: Poset | GradedPoset, f=None,
         raise InvalidParameter(f"unknown budgets: {', '.join(unknown)}")
     b.update(budgets or {})
     poset = p.poset if isinstance(p, GradedPoset) else p
-    g = p if isinstance(p, GradedPoset) else rank_function(poset)
+    try:
+        g = p if isinstance(p, GradedPoset) else GradedPoset(poset)
+    except NotGraded:
+        g = None
     report: dict = {
         "elements": len(poset),
         "covers": len(poset.covers),

@@ -31,6 +31,7 @@ from .homology import (
 from .ideals import flag_ideal
 from .posets import (
     DEFAULT_ISO_BUDGET,
+    GradedPoset,
     Poset,
     are_isomorphic,
     example_3_4,
@@ -41,7 +42,6 @@ from .posets import (
     parse_poset_text,
     pentagon,
     poset_to_text,
-    rank_function,
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -153,9 +153,10 @@ def cmd_classify(args, out) -> int:
 def cmd_betti(args, out) -> int:
     field, budgets = parse_field(args.field), _budgets(args)
     poset = _load_poset(args)
-    g = rank_function(poset)
-    if g is None:
-        raise NotGraded("Betti computations need a graded poset")
+    try:
+        g = GradedPoset(poset)
+    except NotGraded:
+        raise NotGraded("Betti computations need a graded poset") from None
     ideal = flag_ideal(g)
     budget = budgets.get("betti_vars", DEFAULT_BETTI_VARS)
     if args.multidegree is not None:

@@ -2,8 +2,8 @@
 
 Gradedness holds by construction: edges connect consecutive layers only
 and every vertex above layer 1 gets at least one parent (one forced
-uniformly, the rest Bernoulli), so the layer index is the rank function
-and no rejection sampling is needed.
+uniformly, the rest Bernoulli), so the derived ranks equal the layer
+index and no rejection sampling is needed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def random_graded_poset(spec: RandomPosetSpec) -> GradedPoset:
     layers = [[f"p{i + 1}_{k + 1}" for k in range(w)]
               for i, w in enumerate(spec.widths)]
     elements = [e for layer in layers for e in layer]
-    rank = {e: i + 1 for i, layer in enumerate(layers) for e in layer}
     covers = []
     for i in range(1, len(layers)):
         below = layers[i - 1]
@@ -45,4 +44,4 @@ def random_graded_poset(spec: RandomPosetSpec) -> GradedPoset:
                     parents.add(k)
             for k in sorted(parents):
                 covers.append((below[k], v))
-    return GradedPoset(Poset(elements, covers), rank)
+    return GradedPoset(Poset(elements, covers))

@@ -6,6 +6,10 @@ cover may also be realized by a longer directed path), so the input is a
 genuine Hasse diagram; transitively redundant covers are an error, not
 silently reduced.
 
+A ``GradedPoset`` wraps a poset with its rank function, which it derives
+from the Hasse diagram (minimal elements have rank 1 and each cover adds
+1); a poset without one raises ``NotGraded``.
+
 All values are immutable after construction and every operation here is
 pure, so shared use across threads is safe.  Enumerations are stable:
 elements keep their input order, covers are kept in a canonical order,
@@ -23,6 +27,7 @@ from .errors import (
     CycleDetected,
     EmptySelection,
     InvalidParameter,
+    NotGraded,
     ParseError,
     RedundantCover,
     UnknownElement,
@@ -190,38 +195,35 @@ class Poset:
 class GradedPoset:
     """A poset together with its rank function.
 
-    Ranks are positive integers, minimal elements have rank 1 and covers
-    raise the rank by exactly 1; the constructor validates all of this,
-    so re-deriving the rank function always reproduces ``rank``.
-    ``rank_masks[i]`` is the bitmask, over element positions, of the
-    rank-i elements (``rank_masks[0]`` is 0).
+    The rank function of a graded poset is unique, so it is derived
+    rather than given: walking the Hasse diagram upwards, a minimal
+    element gets rank 1 and every other element 1 more than each of its
+    parents.  Two parents of different ranks make the poset ungraded,
+    and the constructor raises ``NotGraded``.  ``rank_masks[i]`` is the
+    bitmask, over element positions, of the rank-i elements
+    (``rank_masks[0]`` is 0).
     """
 
     __slots__ = ("poset", "rank", "rank_masks", "_layers")
 
-    def __init__(self, poset: Poset, rank: dict[str, int]):
-        for e in poset.elements:
-            if e not in rank:
-                raise InvalidParameter(f"rank missing for element {e}")
-            r = rank[e]
-            if not isinstance(r, int) or r < 1:
-                raise InvalidParameter(f"rank of {e} must be a positive integer")
-        if len(rank) != len(poset.elements):
-            raise InvalidParameter("rank map has extra keys")
-        for e in poset.minimal_elements():
-            if rank[e] != 1:
-                raise InvalidParameter(f"minimal element {e} must have rank 1")
-        for p, q in poset.covers:
-            if rank[q] != rank[p] + 1:
-                raise InvalidParameter(
-                    f"cover {p} < {q} must raise rank by 1")
+    def __init__(self, poset: Poset):
+        ranks = [0] * len(poset)
+        for u in topological_order(poset.child_indices):
+            parents = poset.parent_indices[u]
+            r = ranks[parents[0]] + 1 if parents else 1
+            for v in parents:
+                if ranks[v] + 1 != r:
+                    names = poset.elements
+                    raise NotGraded(
+                        f"{names[u]} covers {names[parents[0]]} and "
+                        f"{names[v]}, which have different ranks")
+            ranks[u] = r
         self.poset = poset
-        self.rank = dict(rank)
-        rbar = max(rank.values()) if rank else 0
+        self.rank = dict(zip(poset.elements, ranks))
+        rbar = max(ranks, default=0)
         layers = [[] for _ in range(rbar + 1)]
         masks = [0] * (rbar + 1)
-        for x, e in enumerate(poset.elements):
-            r = rank[e]
+        for x, (e, r) in enumerate(zip(poset.elements, ranks)):
             layers[r].append(e)
             masks[r] |= 1 << x
         self._layers = tuple(tuple(layer) for layer in layers)
@@ -271,21 +273,6 @@ class GradedPoset:
         return all(self.rank[e] == r for e in self.poset.maximal_elements())
 
 
-def rank_function(p: Poset) -> GradedPoset | None:
-    """The unique rank function of ``p`` if one exists, else None.
-
-    Rank 1 is propagated from the minimal elements along covers, per
-    connected component; any inconsistency means the poset is ungraded.
-    """
-    rank = [0] * len(p)
-    for u in topological_order(p.child_indices):
-        values = {rank[v] + 1 for v in p.parent_indices[u]} or {1}
-        if len(values) > 1:
-            return None
-        rank[u] = values.pop()
-    return GradedPoset(p, dict(zip(p.elements, rank)))
-
-
 def maximal_chains(p: Poset | GradedPoset) -> list[tuple[str, ...]]:
     """All maximal chains, sorted lexicographically by id sequence."""
     poset = p.poset if isinstance(p, GradedPoset) else p
@@ -312,23 +299,21 @@ def rank_selection(g: GradedPoset, ranks) -> GradedPoset:
     """Induced subposet on the elements whose rank lies in ``ranks``.
 
     The order is the restriction of the ambient order and the Hasse
-    diagram is recomputed; ranks are renormalized to 1..|S| by the
-    position of the original rank within sorted(S).  The result is
-    always graded: a cover of the restriction joins consecutive
-    selected ranks, because any saturated ambient chain between two
-    comparable elements passes through every intermediate rank.
+    diagram is recomputed; its derived ranks are 1..|S|, the position
+    of the original rank within sorted(S).  The result is always
+    graded: a cover of the restriction joins consecutive selected
+    ranks, because any saturated ambient chain between two comparable
+    elements passes through every intermediate rank.
     """
     S = sorted(set(ranks))
     if not S:
         raise EmptySelection("rank selection needs at least one rank")
     if S[0] < 1 or S[-1] > g.rbar():
         raise InvalidParameter(f"ranks {S} outside 1..{g.rbar()}")
-    pos = {r: k + 1 for k, r in enumerate(S)}
-    keep = [e for e in g.elements if g.rank[e] in pos]
+    keep = [e for e in g.elements if g.rank[e] in S]
     covers = [(a, b) for lo, hi in zip(S, S[1:]) for a in g.layer(lo)
               for b in g.layer(hi) if g.poset.less(a, b)]
-    sub = Poset(keep, covers)
-    return GradedPoset(sub, {e: pos[g.rank[e]] for e in keep})
+    return GradedPoset(Poset(keep, covers))
 
 
 @dataclass(frozen=True)
@@ -365,8 +350,7 @@ def layer_pair(g: GradedPoset, i: int, trim: bool = False) -> BipartiteLayer:
     bottom = g.trimmed_layer(i) if trim else g.layer(i)
     top = g.layer(i + 1)
     bset = set(bottom)
-    edges = frozenset((p, q) for p, q in g.covers
-                      if p in bset and g.rank[q] == i + 1)
+    edges = frozenset((p, q) for p, q in g.covers if p in bset)
     return BipartiteLayer(bottom, top, edges)
 
 
@@ -412,8 +396,7 @@ def chain(n: int) -> GradedPoset:
         raise InvalidParameter("chain needs n >= 1")
     elems = [f"c{i}" for i in range(1, n + 1)]
     covers = [(elems[i], elems[i + 1]) for i in range(n - 1)]
-    return GradedPoset(Poset(elems, covers),
-                       {e: i + 1 for i, e in enumerate(elems)})
+    return GradedPoset(Poset(elems, covers))
 
 
 def antichain(n: int) -> GradedPoset:
@@ -421,7 +404,7 @@ def antichain(n: int) -> GradedPoset:
     if n < 1:
         raise InvalidParameter("antichain needs n >= 1")
     elems = [f"p{i}" for i in range(1, n + 1)]
-    return GradedPoset(Poset(elems, []), {e: 1 for e in elems})
+    return GradedPoset(Poset(elems, []))
 
 
 def letterplace_poset(n: int, q: Poset | GradedPoset) -> GradedPoset:
@@ -435,8 +418,7 @@ def letterplace_poset(n: int, q: Poset | GradedPoset) -> GradedPoset:
              for b, down in zip(qp.elements, qp.down_sets) if down >> x & 1]
     covers = [(f"x{i}_{a}", f"x{i + 1}_{b}") for i in range(1, n)
               for a, b in pairs]
-    rank = {f"x{i}_{a}": i for i in range(1, n + 1) for a in qp.elements}
-    return GradedPoset(Poset(elems, covers), rank)
+    return GradedPoset(Poset(elems, covers))
 
 
 def hom_rt_poset(r: int, t: int) -> GradedPoset:
@@ -451,8 +433,7 @@ def hom_rt_poset(r: int, t: int) -> GradedPoset:
         for j in range(1, t + 1):
             for jp in range(j, t + 1):
                 covers.append((f"a{i}_{j}", f"a{i + 1}_{jp}"))
-    rank = {f"a{i}_{j}": i for i in range(1, r + 1) for j in range(1, t + 1)}
-    return GradedPoset(Poset(elems, covers), rank)
+    return GradedPoset(Poset(elems, covers))
 
 
 def v_poset(r: int, s: int) -> Poset:
@@ -477,22 +458,9 @@ def v_coletterplace_poset(r: int, s: int, n: int) -> GradedPoset:
     """
     if r < 1 or s < 1 or n < 1:
         raise InvalidParameter("co-letterplace needs r, s, n >= 1")
-    elems = []
-    rank = {}
-    for k in range(s, 0, -1):
-        for i in range(1, n + 1):
-            e = f"c{k}_{i}"
-            elems.append(e)
-            rank[e] = s - k + 1
-    for i in range(1, n + 1):
-        e = f"a_{i}"
-        elems.append(e)
-        rank[e] = s + 1
-    for k in range(1, r + 1):
-        for i in range(1, n + 1):
-            e = f"b{k}_{i}"
-            elems.append(e)
-            rank[e] = s + 1 + k
+    elems = [f"c{k}_{i}" for k in range(s, 0, -1) for i in range(1, n + 1)]
+    elems += [f"a_{i}" for i in range(1, n + 1)]
+    elems += [f"b{k}_{i}" for k in range(1, r + 1) for i in range(1, n + 1)]
     covers = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -504,7 +472,7 @@ def v_coletterplace_poset(r: int, s: int, n: int) -> GradedPoset:
                 covers.append((f"c1_{i}", f"a_{j}"))
                 for k in range(2, s + 1):
                     covers.append((f"c{k}_{i}", f"c{k - 1}_{j}"))
-    return GradedPoset(Poset(elems, covers), rank)
+    return GradedPoset(Poset(elems, covers))
 
 
 def pentagon() -> Poset:
@@ -521,8 +489,7 @@ def example_3_4() -> GradedPoset:
     covers = [("a1", "a2"), ("a2", "a3"), ("b1", "a2"), ("b1", "b2"),
               ("b1", "c2"), ("b2", "b3"), ("c1", "c2"), ("c2", "b3"),
               ("c2", "c3")]
-    rank = {e: int(e[1]) for e in elems}
-    return GradedPoset(Poset(elems, covers), rank)
+    return GradedPoset(Poset(elems, covers))
 
 
 def example_3_6() -> GradedPoset:
@@ -533,8 +500,7 @@ def example_3_6() -> GradedPoset:
     covers = [("a1", "a2"), ("a1", "c2"), ("a2", "a3"), ("a2", "b3"),
               ("b1", "b2"), ("b1", "d2"), ("b2", "b3"), ("c1", "c2"),
               ("c2", "c3"), ("c2", "d3"), ("d1", "d2"), ("d2", "d3")]
-    rank = {e: int(e[1]) for e in elems}
-    return GradedPoset(Poset(elems, covers), rank)
+    return GradedPoset(Poset(elems, covers))
 
 
 def example_4_9() -> GradedPoset:
@@ -550,8 +516,7 @@ def example_4_9() -> GradedPoset:
               ("c1", "c2"), ("c1", "e2"),
               ("d1", "d2"), ("d2", "d3"), ("d2", "e3"), ("d3", "d4"),
               ("e1", "e2"), ("e2", "e3")]
-    rank = {e: int(e[1]) for e in elems}
-    return GradedPoset(Poset(elems, covers), rank)
+    return GradedPoset(Poset(elems, covers))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,7 @@ def sweep_poset(bits: int, include_isolated: bool) -> fp.GradedPoset:
     else:
         bottom = tuple(b for b in BOTTOMS if any(e[0] == b for e in edges))
         top = tuple(t for t in TOPS if any(e[1] == t for e in edges))
-    g = fp.rank_function(fp.bipartite_poset(bottom, top, edges))
-    assert g is not None
-    return g
+    return fp.GradedPoset(fp.bipartite_poset(bottom, top, edges))
 
 
 def downward_closure(facet_masks, nverts):
@@ -59,7 +57,7 @@ def rp2_flag_poset() -> fp.GradedPoset:
     flag ideal carries the plane's 2-torsion."""
     edges = [(f"f{x}", f"v{v}") for x in RP2_FACETS for v in "123456"
              if v not in x]
-    return fp.rank_function(fp.bipartite_poset(
+    return fp.GradedPoset(fp.bipartite_poset(
         tuple(f"f{x}" for x in RP2_FACETS),
         tuple(f"v{v}" for v in "123456"), edges))
 
@@ -86,7 +84,7 @@ def generated_chain_posets(count):
         covers += [(a[r], b[r + 1]) for a in chains for b in chains
                    if a is not b for r in range(min(len(a), len(b)) - 1)
                    if rng.random() < q]
-        g = fp.rank_function(fp.Poset(
+        g = fp.GradedPoset(fp.Poset(
             [e for c in chains for e in c], covers))
         if not g.is_pure() or 1 in lengths:
             out.append(g)

@@ -36,7 +36,7 @@ def test_unmixed_certificate_is_valid():
 
 def test_weak_conditions():
     assert fp.check_weak_conditions(fp.example_3_6()) == (True, True)
-    twok2 = fp.rank_function(fp.bipartite_poset(
+    twok2 = fp.GradedPoset(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"), [("p1", "q1"), ("p2", "q2")]))
     assert fp.check_weak_conditions(twok2) == (True, True)
     # strong conditions imply the weak ones wherever a decomposition exists
@@ -72,7 +72,7 @@ def test_cm_label_monotonicity():
 
 
 def test_cm_rejects_k22_by_labeling():
-    k22 = fp.rank_function(fp.bipartite_poset(
+    k22 = fp.GradedPoset(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"),
         [(p, q) for p in ("p1", "p2") for q in ("q1", "q2")]))
     v = fp.check_cm_structural(k22)
@@ -89,7 +89,7 @@ def test_condition2_witness_names_first_failing_layer(layer1_hall, bad_layer):
     layer1 = ([("a1", "b1"), ("a1", "b2"), ("a2", "b3"), ("a3", "b3")]
               if layer1_hall else [("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
     layer2 = [("b1", "c1"), ("b1", "c2"), ("b2", "c3"), ("b3", "c3")]
-    g = fp.rank_function(fp.Poset(
+    g = fp.GradedPoset(fp.Poset(
         ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"],
         layer1 + layer2))
     witness = {"condition": 2, "layer": bad_layer}
@@ -100,7 +100,7 @@ def test_condition2_witness_names_first_failing_layer(layer1_hall, bad_layer):
 def test_cm_certificate_reorders_chains_of_a_rank3_poset():
     # the cover a2 < b1 runs from the chain of a2 into the chain of a1,
     # so the labeling puts the chain of a2 first
-    g = fp.rank_function(fp.Poset(
+    g = fp.GradedPoset(fp.Poset(
         ["a1", "b1", "c1", "a2", "b2", "c2"],
         [("a1", "b1"), ("b1", "c1"), ("a2", "b2"), ("b2", "c2"),
          ("a2", "b1"), ("b2", "c1")]))
@@ -365,7 +365,7 @@ def test_linear_resolution_structural():
         assert fp.has_linear_resolution_structural(fp.hom_rt_poset(r, t)).value
     v = fp.has_linear_resolution_structural(fp.example_3_4())
     assert not v.value and v.witness["layer"] == 1
-    union = fp.rank_function(fp.Poset(
+    union = fp.GradedPoset(fp.Poset(
         ["a1", "a2", "b1", "b2"], [("a1", "a2"), ("b1", "b2")]))
     v = fp.has_linear_resolution_structural(union)
     assert not v.value  # two disjoint chains give a 2K2 layer
@@ -414,7 +414,7 @@ def test_bi_cm_checks_the_grid_map(monkeypatch):
     from flagposet import characterize
     monkeypatch.setattr(characterize, "has_linear_resolution_structural",
                         lambda g: fp.Verdict(True, certificate={}))
-    two_chains = fp.rank_function(fp.Poset(
+    two_chains = fp.GradedPoset(fp.Poset(
         ["a1", "a2", "b1", "b2"], [("a1", "a2"), ("b1", "b2")]))
     for g in (fp.example_4_9(), two_chains):
         assert fp.check_cm_structural(g).value

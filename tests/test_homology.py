@@ -124,7 +124,7 @@ def test_betti_polynomials():
     assert fp.betti_polynomial_bruteforce(fp.flag_ideal(g), chain) == t(3)
     gap = fp.betti_polynomial_fast(g, ("a1_1", "a3_1"))
     assert gap.is_zero()
-    two = fp.rank_function(fp.bipartite_poset(
+    two = fp.GradedPoset(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"), [("p1", "q1"), ("p2", "q2")]))
     assert fp.betti_polynomial_fast(two, ("p1", "p2", "q1", "q2")) == t(3)
 
@@ -559,7 +559,7 @@ def test_component_assembly_matches_direct(corpus_b):
         comps = fp.connected_components(g)
         if len(comps) < 2 or len(g) > 10:
             continue
-        tables = [fp.full_betti_table(fp.flag_ideal(fp.rank_function(c)))
+        tables = [fp.full_betti_table(fp.flag_ideal(fp.GradedPoset(c)))
                   for c in comps]
         direct = fp.full_betti_table(fp.flag_ideal(g))
         assert fp.component_betti_assembly(tables).entries == direct.entries
@@ -602,10 +602,10 @@ def test_first_strand_predicate():
     pred = fp.first_strand_multidegrees(g)
     assert pred(("a1_1", "a2_1", "a3_1"))
     assert not pred(("a2_1", "a3_1"))  # misses rank 1
-    two = fp.rank_function(fp.bipartite_poset(
+    two = fp.GradedPoset(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"), [("p1", "q1"), ("p2", "q2")]))
     assert not fp.first_strand_multidegrees(two)(("p1", "p2", "q1", "q2"))
-    k22 = fp.rank_function(fp.bipartite_poset(
+    k22 = fp.GradedPoset(fp.bipartite_poset(
         ("p1", "p2"), ("q1", "q2"),
         [(p, q) for p in ("p1", "p2") for q in ("q1", "q2")]))
     assert fp.first_strand_multidegrees(k22)(("p1", "p2", "q1", "q2"))

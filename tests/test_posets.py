@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,12 @@ from flagposet.errors import (
     CycleDetected,
     EmptySelection,
     InvalidParameter,
+    NotGraded,
     ParseError,
     RedundantCover,
     UnknownElement,
 )
+from flagposet.generate import RandomPosetSpec, random_graded_poset
 
 from conftest import (
     corpus_poset,
@@ -120,7 +124,8 @@ def test_build_rejects_unknown_and_duplicates():
 def test_pentagon_is_a_valid_poset_but_ungraded():
     p = fp.pentagon()
     assert len(p) == 5 and len(p.covers) == 5
-    assert fp.rank_function(p) is None
+    with pytest.raises(NotGraded):
+        fp.GradedPoset(p)
 
 
 def test_rank_function_on_chains_and_unions():
@@ -129,9 +134,50 @@ def test_rank_function_on_chains_and_unions():
     # disjoint union of a 2-chain and a 3-chain: minimal elements rank 1
     p = fp.Poset(["a1", "a2", "b1", "b2", "b3"],
                  [("a1", "a2"), ("b1", "b2"), ("b2", "b3")])
-    g = fp.rank_function(p)
-    assert g is not None
+    g = fp.GradedPoset(p)
     assert g.rank == {"a1": 1, "a2": 2, "b1": 1, "b2": 2, "b3": 3}
+
+
+def test_builder_ranks_match_closed_forms(corpus_b):
+    """The derived ranks of every builder against the rank formula of
+    its construction."""
+    for n in range(1, 7):
+        assert fp.chain(n).rank == {f"c{i}": i for i in range(1, n + 1)}
+        assert fp.antichain(n).rank == {f"p{i}": 1 for i in range(1, n + 1)}
+    for r in range(1, 5):
+        for t in range(1, 5):
+            assert fp.hom_rt_poset(r, t).rank == {
+                f"a{i}_{j}": i for i in range(1, r + 1)
+                for j in range(1, t + 1)}
+    for q in (fp.pentagon(), fp.chain(3), fp.v_poset(1, 2)):
+        qp = q.poset if isinstance(q, fp.GradedPoset) else q
+        for n in range(1, 4):
+            assert fp.letterplace_poset(n, q).rank == {
+                f"x{i}_{a}": i for i in range(1, n + 1) for a in qp.elements}
+    for r in range(1, 4):
+        for s in range(1, 4):
+            for n in range(1, 4):
+                expected = {}
+                for i in range(1, n + 1):
+                    expected[f"a_{i}"] = s + 1
+                    for k in range(1, s + 1):
+                        expected[f"c{k}_{i}"] = s - k + 1
+                    for k in range(1, r + 1):
+                        expected[f"b{k}_{i}"] = s + 1 + k
+                assert fp.v_coletterplace_poset(r, s, n).rank == expected
+    for g in (fp.example_3_4(), fp.example_3_6(), fp.example_4_9()):
+        assert g.rank == {e: int(e[1]) for e in g.elements}
+    for seed in range(30):
+        g = random_graded_poset(RandomPosetSpec((2, 4, 3, 1), 0.3, seed))
+        assert g.rank == {e: int(e[1:].split("_")[0]) for e in g.elements}
+    impure = [g for g in corpus_b if not g.is_pure()]
+    assert impure
+    for g in impure:
+        for k in range(1, g.rbar() + 1):
+            for S in itertools.combinations(range(1, g.rbar() + 1), k):
+                sel = fp.rank_selection(g, S)
+                assert sel.rank == {e: S.index(g.rank[e]) + 1
+                                    for e in g.elements if g.rank[e] in S}
 
 
 def test_maximal_chains_basic():
