@@ -17,10 +17,12 @@ bitmasks inside a vertex mask, and every field goes through one
 elimination, ``kernel.cohomology_dims``: Gaussian elimination over
 GF(p), fraction-free elimination over QQ.
 
-* Tables (``betti_multidegree``, ``full_betti_table`` and the oracles
-  built on them) use star excision, Jonsson's element matching.  For a
-  vertex v of the restriction D_A its star is a cone, so H~*(D_A) =
-  H*(del v, lk v).  The cochains of that pair are the faces F of D_A
+* Tables and oracles (``betti_multidegree``, ``full_betti_table``,
+  ``oracle_verdicts``, ``is_cm_oracle`` and
+  ``has_linear_resolution_oracle``) use star excision, Jonsson's
+  element matching.  For a vertex v of the restriction D_A its star
+  is a cone, so H~*(D_A) = H*(del v, lk v).  The cochains of that
+  pair are the faces F of D_A
   inside A - v with F + v not a face, i.e. F contains t_k = g_k - v for
   a nonface g_k with v in g_k; the coboundary is the usual one with the
   faces of lk v counting as zero.  When v lies in a single nonface g,
@@ -40,13 +42,19 @@ GF(p), fraction-free elimination over QQ.
   faces over every other vertex in turn, eliminating only when the
   unmatched faces span several degrees; on example 4.9 that never
   happens.  The complex left after the round is keyed by its
-  order-preserving relabelling, and a memo owned by one
-  ``full_betti_table`` call holds the dims of every key it has
-  matched, so each residual shape is matched once per table: example
+  order-preserving relabelling, and a memo owned by one walk of the
+  lcm lattice (``_lcm_walk``) holds the dims of every key it has
+  matched, so each residual shape is matched once per walk: example
   4.9's table runs 119 matchings, not 286, and lists about 6 thousand
-  faces.  ``full_betti_table`` is one pass over the lcm masks: it
-  writes the dims vector straight into table entries and builds A's
-  variable set only when it has a nonzero entry.
+  faces.  The walk visits the lcm masks largest first.
+  ``full_betti_table`` takes every mask: it writes the dims vector
+  straight into table entries and builds A's variable set only when
+  it has a nonzero entry.  The oracles build no table and stop once
+  their verdicts are settled: ``has_linear_resolution_oracle`` at the
+  first entry off the linear strand, and ``oracle_verdicts`` once the
+  ideal's walk has seen an entry with j >= height and one off the
+  strand (then R/I is neither Cohen-Macaulay nor linear; the
+  Eagon-Reiner walk of the dual stops at its own first witness).
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
   stay the literal Hochster computation on the whole restriction, with
   plain ``kernel.cohomology_dims``.  They are the reference the excised
@@ -58,7 +66,7 @@ GF(p), fraction-free elimination over QQ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernel
 from .complexes import layer_sides
@@ -121,7 +129,7 @@ def _excision_vertex(inside: Sequence[int], mask: int) -> int:
     masks ``inside``, ties to the lowest index.  Only the matching
     fallback of ``_excised_dims`` asks, once peeling has left every
     vertex in two or more masks and the residual shape is not yet in
-    the memo of the current table.
+    the memo of the current walk.
 
     Every vertex's count is kept in binary across bit planes, one
     ripple-carry addition per mask; the least count is then read off
@@ -198,9 +206,9 @@ def _excised_dims(inside: Sequence[int], mask: int, p: int,
     t_k | G with G avoiding every other nonface and every earlier t_j,
     all relative to t_k, go to ``kernel.morse_cohomology_dims``; its
     dims are stored under the key before the shift by |T|.  The memo
-    holds dims over the field of ``p`` only: ``full_betti_table`` owns
-    one for the length of its call and ``betti_multidegree`` passes a
-    fresh one, so no entry crosses fields or tables.
+    holds dims over the field of ``p`` only: ``_lcm_walk`` owns one for
+    the length of its walk and ``betti_multidegree`` passes a fresh
+    one, so no entry crosses fields or ideals.
     """
     once = many = 0
     for g in inside:
@@ -330,14 +338,19 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def _lcm_masks(gen_masks: Sequence[int]) -> list[int]:
-    """All unions of the generator masks, ordered by size and then by
-    their sorted bit indices."""
+def _lcm_unions(gen_masks: Sequence[int]) -> set[int]:
+    """All unions of the generator masks."""
     unions: set[int] = set()
     for g in gen_masks:
         unions |= {a | g for a in unions}
         unions.add(g)
-    return kernel.size_lex_sorted(unions)
+    return unions
+
+
+def _lcm_masks(gen_masks: Sequence[int]) -> list[int]:
+    """All unions of the generator masks, ordered by size and then by
+    their sorted bit indices."""
+    return kernel.size_lex_sorted(_lcm_unions(gen_masks))
 
 
 def _variable_set(names: Sequence[str], mask: int) -> frozenset[str]:
@@ -358,28 +371,42 @@ def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
             for m in _lcm_masks(_gen_masks(ideal, index))]
 
 
-def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
-                     budget: int = DEFAULT_BETTI_VARS) -> BettiTable:
-    """All nonzero beta_{j,A}, each by ``betti_multidegree``'s star
-    excision, with one memo of residual shapes for the whole table.
+def _check_betti_budget(ideal: SquarefreeIdeal, budget: int) -> None:
+    if len(ideal.variables) > budget:
+        raise BudgetExceeded(f"Betti table limited to {budget} variables")
+
+
+def _lcm_walk(ideal: SquarefreeIdeal, p: int
+              ) -> Iterator[tuple[int, list[int]]]:
+    """Each lcm mask of the ideal, largest first (by size, then by
+    value), with ``_excised_dims`` of its restriction over the field of
+    ``p``; one memo of residual shapes serves the whole walk.
 
     Candidate multidegrees are the unions of generator supports: if some
     vertex of A lies in no generator inside A, the restriction is a cone
-    over it and contributes nothing.  One pass over them reads each
-    beta_{j,A} = dim H^(|A|-j-2) straight off the excised dims.
+    over it and contributes nothing.  For an n-element mask a nonzero
+    ``dims[k]`` with k < n is beta_{n-1-k,A}.
     """
-    if len(ideal.variables) > budget:
-        raise BudgetExceeded(f"Betti table limited to {budget} variables")
+    width = len(ideal.variables)
     index = {v: i for i, v in enumerate(ideal.variables)}
-    names = ideal.variables
     gens = _gen_masks(ideal, index)
-    p = f.p or 0
-    entries: dict[tuple[int, frozenset[str]], int] = {}
     memo: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for mask in _lcm_masks(gens):
+    for mask in sorted(_lcm_unions(gens),
+                       key=lambda m: m.bit_count() << width | m, reverse=True):
         outside = ~mask
-        dims = _excised_dims([g for g in gens if not g & outside], mask, p,
-                             memo)
+        yield mask, _excised_dims([g for g in gens if not g & outside], mask,
+                                  p, memo)
+
+
+def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
+                     budget: int = DEFAULT_BETTI_VARS) -> BettiTable:
+    """All nonzero beta_{j,A}, each by ``betti_multidegree``'s star
+    excision, read off one walk of the lcm lattice (``_lcm_walk``):
+    beta_{j,A} = dim H^(|A|-j-2) straight from the excised dims."""
+    _check_betti_budget(ideal, budget)
+    names = ideal.variables
+    entries: dict[tuple[int, frozenset[str]], int] = {}
+    for mask, dims in _lcm_walk(ideal, f.p or 0):
         n = mask.bit_count()
         a = None
         for k in range(min(len(dims), n) - 1, -1, -1):
@@ -450,34 +477,26 @@ def component_betti_assembly(tables: Sequence[BettiTable]) -> BettiTable:
 # Oracles
 # ---------------------------------------------------------------------------
 
-def _linear_verdict(ideal: SquarefreeIdeal, table: BettiTable) -> bool:
-    return ideal.is_equigenerated() and table.is_linear(
-        ideal.generator_degree())
-
-
-def _cm_verdict(ideal: SquarefreeIdeal, table: BettiTable, f: FieldSpec,
-                budget: int) -> bool:
-    dual = alexander_dual(ideal, budget=budget)
-    eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
-    height = min(len(g) for g in dual.generators)
-    auslander_buchsbaum = (table.projective_dimension_of_quotient() == height)
-    if eagon_reiner != auslander_buchsbaum:
-        raise RuntimeError(
-            "internal oracle disagreement: Eagon-Reiner "
-            f"{eagon_reiner} vs projdim=height {auslander_buchsbaum}")
-    return eagon_reiner
-
-
 def has_linear_resolution_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
                                  budget: int = DEFAULT_BETTI_VARS) -> bool:
     """Every nonzero beta_{j,A} has |A| = j + d, where d is the common
     generator degree; the zero ideal passes vacuously and an ideal not
-    generated in a single degree fails."""
+    generated in a single degree fails.
+
+    The lcm lattice is walked largest first (``_lcm_walk``) and the
+    walk stops at the first entry off that strand; no table is built.
+    """
     if not ideal.generators:
         return True
     if not ideal.is_equigenerated():
         return False
-    return _linear_verdict(ideal, full_betti_table(ideal, f, budget))
+    _check_betti_budget(ideal, budget)
+    strand = ideal.generator_degree() - 1
+    for mask, dims in _lcm_walk(ideal, f.p or 0):
+        for k in range(min(len(dims), mask.bit_count())):
+            if dims[k] and k != strand:
+                return False
+    return True
 
 
 def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
@@ -485,9 +504,10 @@ def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     """Cohen-Macaulayness of R/I.
 
     Primary route: the Alexander dual has a linear resolution
-    (Eagon-Reiner).  Cross-checked against projdim(R/I) = height(I)
-    computed from the ideal's own Betti table; a disagreement would be
-    an internal error, not a value.
+    (Eagon-Reiner), decided by ``has_linear_resolution_oracle``'s walk.
+    Cross-checked against projdim(R/I) = height(I), read off a walk of
+    the ideal's own lcm lattice (see ``oracle_verdicts``); a
+    disagreement would be an internal error, not a value.
     """
     return oracle_verdicts(ideal, f, budget)[0]
 
@@ -495,13 +515,47 @@ def is_cm_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
 def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
                     budget: int = DEFAULT_BETTI_VARS) -> tuple[bool, bool]:
     """``(is_cm_oracle(...), has_linear_resolution_oracle(...))`` from one
-    Betti table of the ideal, shared by both verdicts."""
+    walk of the ideal's lcm lattice, largest first, and Eagon-Reiner's
+    walk of its dual's; neither builds a table.
+
+    With h the height (the smallest generator of the Alexander dual) and
+    d the generator degree, each nonzero beta_{j,A} sets three flags:
+    ``reach`` when j >= h - 1, ``deep`` when j >= h, and ``off`` when
+    |A| != j + d (``off`` starts set when the ideal is not generated in
+    one degree).  The walk stops once ``deep`` and ``off`` are both set.
+    Then projdim(R/I) = 1 + max j equals h exactly when ``reach`` and
+    not ``deep``, and the resolution is linear exactly when not
+    ``off``.  ``reach`` is tracked rather than assumed from projdim >=
+    height so that the cross-check with Eagon-Reiner stays independent.
+
+    The variable budget is checked before the dual's transversals are
+    enumerated.
+    """
     if not ideal.generators:
         return True, True
-    # the ideal's own table enforces the variable budget before the
-    # dual's transversal enumeration starts
-    table = full_betti_table(ideal, f, budget)
-    return _cm_verdict(ideal, table, f, budget), _linear_verdict(ideal, table)
+    _check_betti_budget(ideal, budget)
+    dual = alexander_dual(ideal, budget=budget)
+    height = min(len(g) for g in dual.generators)
+    off = not ideal.is_equigenerated()
+    strand = -1 if off else ideal.generator_degree() - 1
+    reach = deep = False
+    for mask, dims in _lcm_walk(ideal, f.p or 0):
+        n = mask.bit_count()
+        for k in range(min(len(dims), n)):
+            if dims[k]:
+                j = n - 1 - k
+                reach = reach or j >= height - 1
+                deep = deep or j >= height
+                off = off or k != strand
+        if deep and off:
+            break
+    auslander_buchsbaum = reach and not deep
+    eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
+    if eagon_reiner != auslander_buchsbaum:
+        raise RuntimeError(
+            "internal oracle disagreement: Eagon-Reiner "
+            f"{eagon_reiner} vs projdim=height {auslander_buchsbaum}")
+    return eagon_reiner, not off
 
 
 def first_strand_multidegrees(g: GradedPoset) -> Callable[[Iterable[str]], bool]:

@@ -70,12 +70,13 @@ class Poset:
     Besides the names, the Hasse diagram is kept as read-only tables
     indexed by element position: ``child_indices`` and
     ``parent_indices`` (ascending), ``child_masks`` (the children as a
-    bitmask) and ``down_sets`` (each element with everything below it,
-    as a bitmask)."""
+    bitmask), ``down_sets`` (each element with everything below it,
+    as a bitmask) and ``topological_indices`` (every position, in the
+    ``topological_order`` of the cover digraph)."""
 
     __slots__ = ("elements", "covers", "child_indices", "parent_indices",
-                 "child_masks", "down_sets", "_index", "_minimal",
-                 "_maximal")
+                 "child_masks", "down_sets", "topological_indices",
+                 "_index", "_minimal", "_maximal")
 
     def __init__(self, elements, covers):
         elements = tuple(str(e) for e in elements)
@@ -140,6 +141,7 @@ class Poset:
         self.parent_indices = tuple(tuple(pr) for pr in parents)
         self.child_masks = tuple(kids)
         self.down_sets = tuple(down)
+        self.topological_indices = tuple(topo)
         self._index = index
         self._minimal = tuple(elements[i] for i in range(n) if not parents[i])
         self._maximal = tuple(elements[i] for i in range(n) if not children[i])
@@ -208,7 +210,7 @@ class GradedPoset:
 
     def __init__(self, poset: Poset):
         ranks = [0] * len(poset)
-        for u in topological_order(poset.child_indices):
+        for u in poset.topological_indices:
             parents = poset.parent_indices[u]
             r = ranks[parents[0]] + 1 if parents else 1
             for v in parents:

@@ -6,34 +6,10 @@ the structural checks must agree with the homological oracles over
 GF(2); a disagreement is a finding, not a case to filter out.
 """
 
-import itertools
-
 import pytest
 
 import flagposet as fp
-
-
-def compositions(n):
-    if n == 0:
-        yield ()
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
-
-
-def census(n):
-    """Each graded poset on n elements, with the layer of each element."""
-    for widths in compositions(n):
-        layers = [[f"p{i}_{k}" for k in range(1, w + 1)]
-                  for i, w in enumerate(widths, 1)]
-        options = [[[(below[k], e) for k in range(len(below)) if m >> k & 1]
-                    for m in range(1, 1 << len(below))]
-                   for below, layer in zip(layers, layers[1:])
-                   for e in layer]
-        layer_of = {e: i for i, layer in enumerate(layers, 1) for e in layer}
-        for pick in itertools.product(*options):
-            poset = fp.Poset(list(layer_of), [c for cs in pick for c in cs])
-            yield fp.GradedPoset(poset), layer_of
+from conftest import census
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 6), (4, 26),

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import flagposet as fp
 from flagposet.errors import BudgetExceeded, InvalidParameter, VariableClash
 from flagposet.fields import GF, GF2, QQ, LaurentPoly, poly_from_dims
-from conftest import RP2_FACETS, downward_closure, rp2_flag_poset, sweep_poset
+from conftest import (RP2_FACETS, census, downward_closure, rp2_flag_poset,
+                      sweep_poset)
 
 t = LaurentPoly.t_power
 FIELDS = [GF2, GF(32003), QQ]
@@ -509,13 +510,11 @@ def test_tables_eliminate_only_past_the_matching(monkeypatch):
         assert calls, f
 
 
-def test_oracle_verdicts_share_one_table(monkeypatch):
+def test_oracle_verdicts_build_no_table(monkeypatch):
     examples = [fp.flag_ideal(fp.example_4_9()),
                 fp.flag_ideal(fp.example_3_4()),
                 fp.flag_ideal(fp.hom_rt_poset(2, 2)),
                 fp.SquarefreeIdeal("ab", [])]
-    expected = [(fp.is_cm_oracle(i), fp.has_linear_resolution_oracle(i))
-                for i in examples]
     built = []
     table_of = fp.homology.full_betti_table
 
@@ -524,10 +523,67 @@ def test_oracle_verdicts_share_one_table(monkeypatch):
         return table_of(ideal, *args)
 
     monkeypatch.setattr(fp.homology, "full_betti_table", recording)
-    for ideal, verdicts in zip(examples, expected):
-        built.clear()
-        assert fp.oracle_verdicts(ideal) == verdicts
-        assert built.count(ideal) <= 1
+    for ideal in examples:
+        fp.oracle_verdicts(ideal)
+        fp.is_cm_oracle(ideal)
+        fp.has_linear_resolution_oracle(ideal)
+    assert built == []
+
+
+def _table_verdicts(ideal, dual, f):
+    """Cohen-Macaulayness as projdim = height, and linearity of the
+    ideal and of its Alexander dual, read off their full Betti tables."""
+    def linear(i, table):
+        return i.is_equigenerated() and table.is_linear(i.generator_degree())
+
+    table, dual_table = (fp.full_betti_table(i, f) for i in (ideal, dual))
+    height = min(len(g) for g in dual.generators)
+    return (table.projective_dimension_of_quotient() == height,
+            linear(ideal, table), linear(dual, dual_table))
+
+
+def test_oracle_verdicts_equal_table_verdicts(corpus_b, named_graded):
+    # every labelled graded poset with at most five elements, the
+    # corpus, the named examples, and the plane whose torsion makes
+    # the fields disagree
+    posets = [g for n in range(1, 6) for g, _ in census(n)]
+    posets += corpus_b + list(named_graded.values())
+    ideals = [fp.flag_ideal(g) for g in posets] + [_rp2_ideal()]
+    pairs = [(ideal, fp.alexander_dual(ideal)) for ideal in ideals]
+    cm = {}
+    for f in (GF2, GF(3), QQ):
+        for ideal, dual in pairs:
+            cm_t, linear_t, dual_linear_t = _table_verdicts(ideal, dual, f)
+            assert fp.oracle_verdicts(ideal, f) == (cm_t, linear_t), \
+                (ideal, f)
+            assert fp.has_linear_resolution_oracle(ideal, f) == linear_t
+            assert fp.has_linear_resolution_oracle(dual, f) == dual_linear_t
+        cm[f] = fp.is_cm_oracle(ideals[-1], f)
+    assert cm == {GF2: False, GF(3): True, QQ: True}
+
+
+def test_oracle_verdicts_stop_at_the_first_witness(monkeypatch):
+    # example 3.4's flag ideal and, over GF(2), the projective plane's
+    # Stanley-Reisner ideal are neither Cohen-Macaulay nor linear, so a
+    # witness stops each walk early.  The plane's ideal is its own
+    # Alexander dual and the dual of 3.4's is not equigenerated, so
+    # between them they stop both the ideal's walk and Eagon-Reiner's;
+    # the walks of one call visit fewer multidegrees than one lattice
+    # holds (3.4's two lattices hold 42 and 112)
+    calls = []
+    excised = fp.homology._excised_dims
+
+    def counting(*args):
+        calls.append(args[1])
+        return excised(*args)
+
+    rp2 = _rp2_ideal()
+    assert fp.alexander_dual(rp2) == rp2
+    monkeypatch.setattr(fp.homology, "_excised_dims", counting)
+    for ideal in (fp.flag_ideal(fp.example_3_4()), rp2):
+        calls.clear()
+        assert fp.oracle_verdicts(ideal) == (False, False)
+        assert 0 < len(calls) < len(fp.lcm_lattice(ideal))
 
 
 def test_betti_table_csv():
