@@ -12,10 +12,10 @@ Conventions, pinned once and validated by the test suite:
   to A = {} (value t, the rank-one free module of the quotient's
   resolution).
 
-Betti numbers come three ways, all enumerating faces from nonface
-bitmasks inside a vertex mask, and every field goes through one
-elimination, ``kernel.cohomology_dims``: Gaussian elimination over
-GF(p), fraction-free elimination over QQ.
+Betti numbers come three ways, all from nonface bitmasks inside a
+vertex mask.  Wherever faces are listed and eliminated, every field
+goes through one elimination, ``kernel.cohomology_dims``: Gaussian
+elimination over GF(p), fraction-free elimination over QQ.
 
 * Tables and oracles (``betti_multidegree``, ``full_betti_table``,
   ``oracle_verdicts``, ``is_cm_oracle`` and
@@ -36,25 +36,33 @@ GF(p), fraction-free elimination over QQ.
   A peel leaves every other vertex in as many nonfaces as before, so
   one round leaves no single vertex.  It stops at zero on a void
   complex (an empty nonface) and at one class on {empty face} (no
-  vertex left).  Otherwise every vertex lies in two or more nonfaces:
-  bit-plane counters over the nonfaces pick v, the vertex in the
-  fewest, and ``kernel.morse_cohomology_dims`` matches the pair's
-  faces over every other vertex in turn, eliminating only when the
-  unmatched faces span several degrees; on example 4.9 that never
-  happens.  The complex left after the round is keyed by its
-  order-preserving relabelling, and a memo owned by one walk of the
-  lcm lattice (``_lcm_walk``) holds the dims of every key it has
-  matched, so each residual shape is matched once per walk: example
-  4.9's table runs 119 matchings, not 286, and lists about 6 thousand
-  faces.  The walk visits the lcm masks largest first.
+  vertex left).  Otherwise every vertex lies in two or more nonfaces,
+  and the complex left after the round is keyed by its
+  order-preserving relabelling; a memo owned by one walk of the lcm
+  lattice (``_lcm_walk``) holds the dims of every key it has met, so
+  each residual shape is computed once per walk: example 4.9's table
+  meets 119 shapes in its 1,407 multidegrees.  A new shape is first
+  collapsed (``_collapsed_dims``) by moves that keep its cohomology up
+  to a shift: repeated and non-minimal nonfaces are dropped, the
+  peeling round runs again (a one-vertex nonface, a vertex that is not
+  there, is peeled with no shift), and a dominated vertex, one whose
+  link is a cone (Barmak-Minian, *Strong homotopy types, nerves and
+  collapses*, 2012), is deleted, until none applies.  Only what is
+  left is matched: bit-plane counters over the nonfaces pick v, the
+  vertex in the fewest, and ``kernel.morse_cohomology_dims`` matches
+  the pair's faces over every other vertex in turn, eliminating only
+  when the unmatched faces span several degrees.  All 119 shapes of
+  example 4.9 collapse, so its table lists no face and matches
+  nothing.  The walk visits the lcm masks largest first.
   ``full_betti_table`` takes every mask: it writes the dims vector
   straight into table entries and builds A's variable set only when
   it has a nonzero entry.  The oracles build no table and stop once
   their verdicts are settled: ``has_linear_resolution_oracle`` at the
   first entry off the linear strand, and ``oracle_verdicts`` once the
-  ideal's walk has seen an entry with j >= height and one off the
-  strand (then R/I is neither Cohen-Macaulay nor linear; the
-  Eagon-Reiner walk of the dual stops at its own first witness).
+  ideal's walk has seen an entry off the strand and either one with
+  j >= height (then R/I is neither Cohen-Macaulay nor linear) or only
+  masks with fewer than height elements remain; the Eagon-Reiner walk
+  of the dual stops at its own first witness.
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
   stay the literal Hochster computation on the whole restriction, with
   plain ``kernel.cohomology_dims``.  They are the reference the excised
@@ -127,9 +135,8 @@ def restriction_cohomology_poly(ideal: SquarefreeIdeal,
 def _excision_vertex(inside: Sequence[int], mask: int) -> int:
     """The vertex (as a one-bit mask) of ``mask`` in the fewest of the
     masks ``inside``, ties to the lowest index.  Only the matching
-    fallback of ``_excised_dims`` asks, once peeling has left every
-    vertex in two or more masks and the residual shape is not yet in
-    the memo of the current walk.
+    fallback of ``_collapsed_dims`` asks, for a residual shape new to
+    the memo of the current walk that no collapse move reduces further.
 
     Every vertex's count is kept in binary across bit planes, one
     ripple-carry addition per mask; the least count is then read off
@@ -163,12 +170,12 @@ def _compressed(n: int, mask: int) -> int:
     return x
 
 
-def _excised_dims(inside: Sequence[int], mask: int, p: int,
-                  memo: dict[tuple[int, frozenset[int]], list[int]]
-                  ) -> list[int]:
-    """``[dim H^-1, dim H^0, ...]`` of the complex on ``mask`` whose
-    nonfaces are ``inside`` (every one within ``mask``; they need not
-    be minimal, and one may be empty), by star excision.
+def _peeled(inside: Sequence[int], mask: int
+            ) -> tuple[list[int], int, int] | None:
+    """One peeling round of the complex on ``mask`` whose nonfaces are
+    ``inside``: ``(nonfaces, mask, shift)`` of the complex left, whose
+    cohomology raised by ``shift`` is the input's, or None when the
+    input is a cone or the round leaves a void complex (zero).
 
     One pass over the nonfaces gives ``once``, their union, and
     ``many``, the vertices in two or more of them (a repeated nonface
@@ -191,31 +198,16 @@ def _excised_dims(inside: Sequence[int], mask: int, p: int,
     raises by |t1| + |t2 - t1| = |t1 | t2|.  Induction gives the round.
     The round is the only one: a vertex w that survives it lies in no
     peeled nonface and not in T, so it is in exactly as many nonfaces
-    as before, two or more.
-
-    After the round an empty nonface (void, and peeling keeps it
-    empty) gives zero, and an empty mask is {empty face}, one class at
-    cardinality |T|.  Otherwise the residual complex is looked up in
-    ``memo`` under its order-preserving relabelling: the number of
-    vertices left and the set of nonfaces compressed onto the
-    positions of ``mask`` (``_compressed``).  Relabelling is a
-    simplicial isomorphism, and a repeated nonface does not change the
-    complex, so every complex under one key has the same cohomology.
-    On a miss ``_excision_vertex`` picks v, the vertex in the fewest
-    nonfaces, and the pair's faces, the disjoint union over k of
-    t_k | G with G avoiding every other nonface and every earlier t_j,
-    all relative to t_k, go to ``kernel.morse_cohomology_dims``; its
-    dims are stored under the key before the shift by |T|.  The memo
-    holds dims over the field of ``p`` only: ``_lcm_walk`` owns one for
-    the length of its walk and ``betti_multidegree`` passes a fresh
-    one, so no entry crosses fields or ideals.
+    as before, two or more.  An empty nonface after the round (void,
+    and peeling keeps it empty) gives zero; an empty mask left is
+    {empty face}.
     """
     once = many = 0
     for g in inside:
         many |= once & g
         once |= g
     if mask & ~once:
-        return []
+        return None
     single = once & ~many
     gone = peeled = 0
     kept = []
@@ -227,25 +219,131 @@ def _excised_dims(inside: Sequence[int], mask: int, p: int,
         else:
             kept.append(g)
     inside = [n & ~peeled for n in kept]
-    mask &= ~gone
-    shift = peeled.bit_count()
     if 0 in inside:
+        return None
+    return inside, mask & ~gone, peeled.bit_count()
+
+
+def _excised_dims(inside: Sequence[int], mask: int, p: int,
+                  memo: dict[tuple[int, frozenset[int]], list[int]]
+                  ) -> list[int]:
+    """``[dim H^-1, dim H^0, ...]`` of the complex on ``mask`` whose
+    nonfaces are ``inside`` (every one within ``mask``; they need not
+    be minimal, and one may be empty), by star excision.
+
+    One peeling round (``_peeled``) either settles the complex (zero on
+    a cone or a void complex, one class at cardinality |T| on an empty
+    mask) or leaves every vertex in two or more nonfaces.  The residual
+    complex is then looked up in ``memo`` under its order-preserving
+    relabelling: the number of vertices left and the set of nonfaces
+    compressed onto the positions of ``mask`` (``_compressed``).
+    Relabelling is a simplicial isomorphism, and a repeated nonface
+    does not change the complex, so every complex under one key has the
+    same cohomology.  On a miss ``_collapsed_dims`` computes the dims,
+    which are stored under the key before the shift by |T|.  The memo
+    holds dims over the field of ``p`` only: each walk of the lcm
+    lattice (``_lcm_walk``'s callers) owns one for its length and
+    ``betti_multidegree`` passes a fresh one, so no entry crosses
+    fields or ideals.
+    """
+    peeled = _peeled(inside, mask)
+    if peeled is None:
         return []
+    inside, mask, shift = peeled
     if not mask:
         return [0] * shift + [1]
     key = (mask.bit_count(), frozenset(_compressed(n, mask) for n in inside))
     dims = memo.get(key)
     if dims is None:
-        v = _excision_vertex(inside, mask)
-        links = [g ^ v for g in inside if g & v]
-        others = [g for g in inside if not g & v]
-        rest = mask ^ v
-        faces: list[int] = []
-        for k, t in enumerate(links):
-            nonfaces = [n & ~t for n in others] + [s & ~t for s in links[:k]]
-            faces += [t | x for x in
-                      kernel.faces_from_nonfaces(nonfaces, rest & ~t)]
-        dims = memo[key] = kernel.morse_cohomology_dims(faces, p)
+        dims = memo[key] = _collapsed_dims(inside, mask, p)
+    return [0] * shift + dims if dims else []
+
+
+def _collapsed_dims(inside: list[int], mask: int, p: int) -> list[int]:
+    """``[dim H^-1, dim H^0, ...]`` of the complex on ``mask`` whose
+    nonfaces are ``inside``, as for ``_excised_dims`` (which passes a
+    residual shape, with no vertex single): the complex is first
+    reduced by moves that keep its cohomology up to a shift, and only
+    what is left is matched.
+
+    The moves, repeated until none applies:
+
+    * Repeated and non-minimal nonfaces are dropped; the complex is the
+      same.
+    * A peeling round (``_peeled``), with its exits: zero on a cone or
+      a void complex, one class at the accumulated shift on an empty
+      mask.  After the drop a vertex may be single, and a one-vertex
+      nonface {u} (u is not a vertex of the complex) is peeled with
+      t = {} and no shift: u leaves the mask with its nonface.
+    * A dominated vertex is deleted (Barmak-Minian: its link is a cone,
+      so the complex has the homotopy type of its deletion, over every
+      field).  With minimal nonfaces, w is dominated by u != w when
+      every nonface n with u in n has a nonface m with w in m and
+      m - w inside n - u; then for a face F of lk w, a minimal nonface
+      inside F + u + w would contain u, and its m would lie inside
+      F + w.  The deletion's minimal nonfaces are those avoiding w.
+      The test is bit-parallel: for a = n - u, the nonfaces m with one
+      vertex outside a name that vertex as witnessed, their OR is taken
+      and the ORs are ANDed over every n through u; any bit left other
+      than u is dominated.  The vertices u are tried in ascending order
+      and the lowest dominated bit is deleted.  For independence
+      complexes this is Engstrom's fold: N(u) inside N(w).
+
+    The peeling round runs again after each drop or deletion, so a
+    deletion is only tried once no vertex is single.  Whatever is left
+    is matched: ``_excision_vertex`` picks v, the vertex in the fewest
+    nonfaces, and the pair's faces, the disjoint union over k of t_k | G
+    with G avoiding every other nonface and every earlier t_j, all
+    relative to t_k, go to ``kernel.morse_cohomology_dims``.
+    """
+    shift = 0
+    while True:
+        minimal: list[int] = []
+        for n in sorted(set(inside), key=lambda n: (n.bit_count(), n)):
+            if all(m & ~n for m in minimal):
+                minimal.append(n)
+        peeled = _peeled(minimal, mask)
+        if peeled is None:
+            return []
+        inside, rest, s = peeled
+        shift += s
+        if not rest:
+            return [0] * shift + [1]
+        if rest != mask:
+            mask = rest
+            continue
+        w = 0
+        u_bits = mask
+        while u_bits and not w:
+            u = u_bits & -u_bits
+            u_bits ^= u
+            dominated = mask ^ u
+            for n in inside:
+                if n & u:
+                    a = n ^ u
+                    witnessed = 0
+                    for m in inside:
+                        b = m & ~a
+                        if not b & (b - 1):
+                            witnessed |= b
+                    dominated &= witnessed
+                    if not dominated:
+                        break
+            w = dominated & -dominated
+        if not w:
+            break
+        mask ^= w
+        inside = [n for n in inside if not n & w]
+    v = _excision_vertex(inside, mask)
+    links = [g ^ v for g in inside if g & v]
+    others = [g for g in inside if not g & v]
+    rest = mask ^ v
+    faces: list[int] = []
+    for k, t in enumerate(links):
+        nonfaces = [n & ~t for n in others] + [s & ~t for s in links[:k]]
+        faces += [t | x for x in
+                  kernel.faces_from_nonfaces(nonfaces, rest & ~t)]
+    dims = kernel.morse_cohomology_dims(faces, p)
     return [0] * shift + dims if dims else []
 
 
@@ -376,26 +474,24 @@ def _check_betti_budget(ideal: SquarefreeIdeal, budget: int) -> None:
         raise BudgetExceeded(f"Betti table limited to {budget} variables")
 
 
-def _lcm_walk(ideal: SquarefreeIdeal, p: int
-              ) -> Iterator[tuple[int, list[int]]]:
+def _lcm_walk(ideal: SquarefreeIdeal) -> Iterator[tuple[int, list[int]]]:
     """Each lcm mask of the ideal, largest first (by size, then by
-    value), with ``_excised_dims`` of its restriction over the field of
-    ``p``; one memo of residual shapes serves the whole walk.
+    value), with the generator masks inside it.
 
     Candidate multidegrees are the unions of generator supports: if some
     vertex of A lies in no generator inside A, the restriction is a cone
-    over it and contributes nothing.  For an n-element mask a nonzero
-    ``dims[k]`` with k < n is beta_{n-1-k,A}.
+    over it and contributes nothing.  Each caller passes the generators
+    inside a mask to ``_excised_dims`` with one memo of residual shapes
+    for the whole walk; for an n-element mask a nonzero ``dims[k]`` with
+    k < n is beta_{n-1-k,A}.
     """
     width = len(ideal.variables)
     index = {v: i for i, v in enumerate(ideal.variables)}
     gens = _gen_masks(ideal, index)
-    memo: dict[tuple[int, frozenset[int]], list[int]] = {}
     for mask in sorted(_lcm_unions(gens),
                        key=lambda m: m.bit_count() << width | m, reverse=True):
         outside = ~mask
-        yield mask, _excised_dims([g for g in gens if not g & outside], mask,
-                                  p, memo)
+        yield mask, [g for g in gens if not g & outside]
 
 
 def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
@@ -406,7 +502,9 @@ def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     _check_betti_budget(ideal, budget)
     names = ideal.variables
     entries: dict[tuple[int, frozenset[str]], int] = {}
-    for mask, dims in _lcm_walk(ideal, f.p or 0):
+    memo: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for mask, inside in _lcm_walk(ideal):
+        dims = _excised_dims(inside, mask, f.p or 0, memo)
         n = mask.bit_count()
         a = None
         for k in range(min(len(dims), n) - 1, -1, -1):
@@ -492,7 +590,9 @@ def has_linear_resolution_oracle(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
         return False
     _check_betti_budget(ideal, budget)
     strand = ideal.generator_degree() - 1
-    for mask, dims in _lcm_walk(ideal, f.p or 0):
+    memo: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for mask, inside in _lcm_walk(ideal):
+        dims = _excised_dims(inside, mask, f.p or 0, memo)
         for k in range(min(len(dims), mask.bit_count())):
             if dims[k] and k != strand:
                 return False
@@ -522,7 +622,10 @@ def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     d the generator degree, each nonzero beta_{j,A} sets three flags:
     ``reach`` when j >= h - 1, ``deep`` when j >= h, and ``off`` when
     |A| != j + d (``off`` starts set when the ideal is not generated in
-    one degree).  The walk stops once ``deep`` and ``off`` are both set.
+    one degree).  Once ``off`` is set the walk stops before the next
+    mask when ``deep`` is set too or that mask has fewer than h elements:
+    an n-element mask has j <= n - 1, so no smaller mask can set
+    ``reach`` or ``deep``, and the walk is largest first.
     Then projdim(R/I) = 1 + max j equals h exactly when ``reach`` and
     not ``deep``, and the resolution is linear exactly when not
     ``off``.  ``reach`` is tracked rather than assumed from projdim >=
@@ -539,16 +642,18 @@ def oracle_verdicts(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
     off = not ideal.is_equigenerated()
     strand = -1 if off else ideal.generator_degree() - 1
     reach = deep = False
-    for mask, dims in _lcm_walk(ideal, f.p or 0):
+    memo: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for mask, inside in _lcm_walk(ideal):
         n = mask.bit_count()
+        if off and (deep or n < height):
+            break
+        dims = _excised_dims(inside, mask, f.p or 0, memo)
         for k in range(min(len(dims), n)):
             if dims[k]:
                 j = n - 1 - k
                 reach = reach or j >= height - 1
                 deep = deep or j >= height
                 off = off or k != strand
-        if deep and off:
-            break
     auslander_buchsbaum = reach and not deep
     eagon_reiner = has_linear_resolution_oracle(dual, f, budget)
     if eagon_reiner != auslander_buchsbaum:

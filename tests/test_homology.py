@@ -331,19 +331,39 @@ def test_one_round_peels_every_single_vertex(p):
     assert excised([0b11, 0b10], 0b11) == []
     # a is single in abc and d in cd, T = {b, c}: bc - T is empty
     assert excised([0b0111, 0b0110, 0b1100], 0b1111) == []
-    # a repeated nonface counts twice: neither copy of ab is peeled, and
-    # the matching sees the two points a and b
+    # a repeated nonface counts twice: neither copy of ab is peeled by
+    # the first round; the collapse drops the copy and peels ab, leaving
+    # {empty face} at cardinality 1
     assert excised([0b11, 0b11], 0b11) == [0, 1]
 
 
+@pytest.mark.parametrize("p", [2, 3, 0])
+def test_collapse_empties_the_mask(p):
+    # abcde peels off in the first round (T = bcde, shift 4) and leaves
+    # the nonfaces {h}, {h} on {h}: the collapse drops the copy, h is no
+    # vertex, and no vertex is left: {empty face} at cardinality 4, the
+    # 3-sphere of abcde's boundary
+    nonfaces, mask = [0b11111, 1 << 7, 1 << 7], 0b10011111
+    assert fp.homology._excised_dims(nonfaces, mask, p, {}) \
+        == [0, 0, 0, 0, 1]
+    assert fp.kernel.cohomology_dims(
+        fp.kernel.faces_from_nonfaces(nonfaces, mask), p) == [0, 0, 0, 0, 1]
+
+
 def test_excision_peels_example_4_9(monkeypatch):
-    # the fewest-count vertex is looked for only where the matching runs:
-    # every other excision is one round of peeling or a residual shape
-    # the table has met before; a second table counts the same, so no
+    # every excision is one round of peeling or a residual shape the
+    # table has met before, except 119 shapes new to the table; each of
+    # those collapses all the way, so no fewest-count vertex is looked
+    # for and nothing is matched.  A second table counts the same, so no
     # memo outlives its table
-    calls = {"vertex": 0, "morse": 0}
+    calls = {"collapse": 0, "vertex": 0, "morse": 0}
+    collapsed = fp.homology._collapsed_dims
     vertex = fp.homology._excision_vertex
     morse = fp.kernel.morse_cohomology_dims
+
+    def counting_collapse(inside, mask, p):
+        calls["collapse"] += 1
+        return collapsed(inside, mask, p)
 
     def counting_vertex(inside, mask):
         calls["vertex"] += 1
@@ -353,26 +373,28 @@ def test_excision_peels_example_4_9(monkeypatch):
         calls["morse"] += 1
         return morse(face_masks, p)
 
+    monkeypatch.setattr(fp.homology, "_collapsed_dims", counting_collapse)
     monkeypatch.setattr(fp.homology, "_excision_vertex", counting_vertex)
     monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting_morse)
     ideal = fp.flag_ideal(fp.example_4_9())
     for _ in range(2):
-        calls.update(vertex=0, morse=0)
+        calls.update(collapse=0, vertex=0, morse=0)
         fp.full_betti_table(ideal, GF2)
-        assert calls == {"vertex": 119, "morse": 119}
+        assert calls == {"collapse": 119, "vertex": 0, "morse": 0}
 
 
 @pytest.mark.parametrize("f", [GF2, GF(3), QQ], ids=str)
 def test_excision_memo_keys_residual_shapes(f, monkeypatch):
+    # a memo miss is a call of _collapsed_dims
     p = f.p or 0
-    morse_calls = []
-    morse = fp.kernel.morse_cohomology_dims
+    misses = []
+    collapsed = fp.homology._collapsed_dims
 
-    def counting_morse(face_masks, p):
-        morse_calls.append(len(face_masks))
-        return morse(face_masks, p)
+    def counting_collapse(inside, mask, p):
+        misses.append(mask)
+        return collapsed(inside, mask, p)
 
-    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting_morse)
+    monkeypatch.setattr(fp.homology, "_collapsed_dims", counting_collapse)
 
     def excised(nonfaces, mask, memo):
         dims = fp.homology._excised_dims(nonfaces, mask, p, memo)
@@ -403,21 +425,21 @@ def test_excision_memo_keys_residual_shapes(f, monkeypatch):
     memo = {}
     for nonfaces, mask in cases:
         excised(nonfaces, mask, memo)
-    assert len(memo) == len(morse_calls)
-    # with a fresh memo per case the shapes that repeat are matched again
-    morse_calls.clear()
+    assert len(memo) == len(misses)
+    # with a fresh memo per case the shapes that repeat miss again
+    misses.clear()
     for nonfaces, mask in cases:
         fp.homology._excised_dims(nonfaces, mask, p, {})
-    assert len(memo) < len(morse_calls)
+    assert len(memo) < len(misses)
     # the 5-cycle of test_excision_stopping_cases and a copy moved up
-    # by five positions: one residual shape, one matching
+    # by five positions: one residual shape, one miss
     cycle = [0b11] + [1 << i | 1 << i % 5 + 2 for i in range(2, 7)]
     memo = {}
-    morse_calls.clear()
+    misses.clear()
     for shift in (0, 5):
         dims = excised([n << shift for n in cycle], 0b1111111 << shift, memo)
         assert dims == [0, 0, 0, 1]
-    assert len(memo) == len(morse_calls) == 1
+    assert len(memo) == len(misses) == 1
     # torsion survives a memo filled by the rest of the lcm lattice
     ideal = _rp2_ideal()
     gens = [sum(1 << "123456".index(v) for v in g) for g in ideal.generators]
@@ -427,6 +449,82 @@ def test_excision_memo_keys_residual_shapes(f, monkeypatch):
     assert mask == 0b111111
     expected = [0, 0, 1, 1, 0, 0] if f == GF2 else [0] * 6
     assert fp.homology._betti_vector(dims, 6) == expected
+
+
+@pytest.mark.parametrize("f", [GF2, GF(3), QQ], ids=str)
+def test_collapse_keeps_cohomology(f, monkeypatch):
+    p = f.p or 0
+    matched = []
+    morse = fp.kernel.morse_cohomology_dims
+
+    def recording(face_masks, p):
+        matched.append(morse(face_masks, p))
+        return matched[-1]
+
+    monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", recording)
+
+    def collapsed(nonfaces, mask):
+        dims = fp.homology._collapsed_dims(nonfaces, mask, p)
+        plain = fp.kernel.cohomology_dims(
+            fp.kernel.faces_from_nonfaces(nonfaces, mask), p)
+        assert poly_from_dims(dims) == poly_from_dims(plain), \
+            (nonfaces, mask, f)
+        return dims
+
+    # seeded nonface families on 2-9 of 10 positions, with repeated,
+    # nested and one-vertex nonfaces
+    rng = random.Random(20261020)
+    for _ in range(500):
+        verts = rng.sample(range(10), rng.randint(2, 9))
+        nonfaces = [sum(1 << v for v in rng.sample(
+                        verts, min(rng.choice((2, 2, 3, 3, 4)), len(verts))))
+                    for _ in range(rng.randint(2, 12))]
+        if rng.random() < 0.3:
+            nonfaces.append(rng.choice(nonfaces))
+        if rng.random() < 0.3:
+            nonfaces.append(rng.choice(nonfaces) | 1 << rng.choice(verts))
+        if rng.random() < 0.2:
+            nonfaces.append(1 << rng.choice(verts))
+        collapsed(nonfaces, sum(1 << v for v in verts))
+    assert matched
+    # every vertex of these lies in two or more nonfaces, and the first
+    # dominated pair is not symmetric: deleting the dominating vertex
+    # instead would give two classes.  An independence complex, where
+    # N(0) = {2, 4} lies inside N(1) = {2, 3, 4} ...
+    matched.clear()
+    graph = [0b101, 0b110, 0b1010, 0b1100, 0b10001, 0b10010, 0b10100]
+    assert collapsed(graph, 0b11111) == [0, 1]
+    # ... and a 3-uniform complex where 1 is dominated by 3
+    triples = [0b111, 0b1101, 0b10011, 0b10110, 0b11100]
+    assert collapsed(triples, 0b11111) == [0, 0, 1]
+    assert matched == []
+    # the 5-cycle of test_excision_stopping_cases has no dominated vertex
+    # and still reaches the matching
+    cycle = [1 << i | 1 << (i + 1) % 5 for i in range(5)]
+    assert poly_from_dims(collapsed(cycle, 0b11111)) == t(1)
+    assert matched == [[0, 0, 1]]
+    # so does the projective plane, whose torsion survives
+    gens = [sum(1 << "123456".index(v) for v in g)
+            for g in _rp2_ideal().generators]
+    dims = collapsed(gens, 0b111111)
+    expected = [0, 0, 1, 1, 0, 0] if f == GF2 else [0] * 6
+    assert fp.homology._betti_vector(dims, 6) == expected
+
+
+def test_full_betti_table_on_hom_grids():
+    # every lcm multidegree of hom(r, t) with rt <= 12 over GF(2), and
+    # with rt <= 10 over GF(3) and QQ
+    for f, most in ((GF2, 12), (GF(3), 10), (QQ, 10)):
+        for r in range(1, most + 1):
+            for s in range(1, most // r + 1):
+                ideal = fp.flag_ideal(fp.hom_rt_poset(r, s))
+                table = fp.full_betti_table(ideal, f)
+                lattice = fp.lcm_lattice(ideal)
+                for a in lattice:
+                    assert [table.entries.get((j, a), 0)
+                            for j in range(len(a))] \
+                        == _brute_vector(ideal, a, f), (r, s, a, f)
+                assert {a for _, a in table.entries} <= set(lattice)
 
 
 def _rp2_ideal():
@@ -584,6 +682,28 @@ def test_oracle_verdicts_stop_at_the_first_witness(monkeypatch):
         calls.clear()
         assert fp.oracle_verdicts(ideal) == (False, False)
         assert 0 < len(calls) < len(fp.lcm_lattice(ideal))
+
+
+def test_oracle_verdicts_skip_masks_below_the_height(monkeypatch):
+    # x1, x2 x3, x4 x5 x6 is a complete intersection of height 3 in three
+    # degrees: ``off`` is set from the start and ``deep`` never is, so
+    # the ideal's walk stops at its first mask with fewer than three
+    # elements.  It visits the five larger of its seven lcm masks (not
+    # x2 x3 or x1), and Eagon-Reiner walks all 21 of the dual's
+    calls = []
+    excised = fp.homology._excised_dims
+
+    def counting(*args):
+        calls.append(args[1])
+        return excised(*args)
+
+    ideal = _ideal("x1", "x2 x3", "x4 x5 x6")
+    dual = fp.alexander_dual(ideal)
+    assert (len(fp.lcm_lattice(ideal)), len(fp.lcm_lattice(dual))) == (7, 21)
+    monkeypatch.setattr(fp.homology, "_excised_dims", counting)
+    assert fp.oracle_verdicts(ideal) == (True, False)
+    assert len(calls) == 5 + 21
+    assert [m.bit_count() for m in calls[:5]] == [6, 5, 4, 3, 3]
 
 
 def test_betti_table_csv():
