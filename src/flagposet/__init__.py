@@ -46,7 +46,6 @@ from .errors import (
     NotGraded,
     ParseError,
     RedundantCover,
-    UnitIdeal,
     UnknownElement,
     UnknownVariable,
     VariableClash,
@@ -71,12 +70,10 @@ from .homology import (
 from .ideals import (
     SquarefreeIdeal,
     alexander_dual,
-    evaluate_to_one,
     flag_ideal,
     has_linear_quotients,
     is_weakly_polymatroidal,
     letterplace_generators,
-    partial_flag_ideal,
     v_coletterplace_generators,
 )
 from .posets import (

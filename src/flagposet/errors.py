@@ -46,11 +46,6 @@ class NotAVPoset(FlagPosetError):
     element and exactly two maximal chains."""
 
 
-class UnitIdeal(FlagPosetError):
-    """An evaluation produced the unit ideal, which has no squarefree
-    minimal generating set."""
-
-
 class VariableClash(FlagPosetError):
     """Combination of ideals whose variable sets overlap."""
 

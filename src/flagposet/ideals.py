@@ -2,9 +2,9 @@
 
 Monomials are variable subsets (every ideal in scope is squarefree), and
 an ideal is its minimal generating antichain over an ordered variable
-list.  Includes flag ideals and partial flag ideals of graded posets,
-Alexander duality, variable evaluation, the weakly-polymatroidal and
-linear-quotients checks, and letterplace and co-letterplace generators.
+list.  Includes flag ideals of graded posets, Alexander duality, the
+weakly-polymatroidal exchange check and the linear-quotients check in a
+given variable order, and letterplace and co-letterplace generators.
 The filtrations of a chain-decomposition certificate live with the
 certificate, in ``characterize``.
 """
@@ -16,17 +16,9 @@ from typing import Iterable, Sequence
 
 from . import kernel
 from .covers import DEFAULT_COVER_BUDGET, minimal_transversals
-from .errors import (
-    BudgetExceeded,
-    InvalidParameter,
-    NotAVPoset,
-    NotEquigenerated,
-    UnitIdeal,
-    UnknownVariable,
-)
-from .posets import GradedPoset, Poset, maximal_chains, rank_selection
-
-DEFAULT_QUOTIENT_BUDGET = 20000
+from .errors import (InvalidParameter, NotAVPoset, NotEquigenerated,
+                     UnknownVariable)
+from .posets import GradedPoset, Poset, maximal_chains
 
 
 def minimalize(generators: Iterable[frozenset]) -> list[frozenset]:
@@ -122,11 +114,6 @@ def flag_ideal(g: GradedPoset) -> SquarefreeIdeal:
                            [frozenset(c) for c in maximal_chains(g)])
 
 
-def partial_flag_ideal(g: GradedPoset, ranks) -> SquarefreeIdeal:
-    """Flag ideal of the rank selection, keeping original variable ids."""
-    return flag_ideal(rank_selection(g, ranks))
-
-
 def alexander_dual(ideal: SquarefreeIdeal,
                    budget: int = DEFAULT_COVER_BUDGET) -> SquarefreeIdeal:
     """Generators are the minimal transversals of the generator supports;
@@ -135,22 +122,6 @@ def alexander_dual(ideal: SquarefreeIdeal,
         raise InvalidParameter("Alexander dual of the zero ideal")
     duals = minimal_transversals(ideal.generators, ideal.variables, budget)
     return SquarefreeIdeal(ideal.variables, duals)
-
-
-def evaluate_to_one(ideal: SquarefreeIdeal, variable: str) -> SquarefreeIdeal:
-    """Set one variable to 1: drop it from every generator and from the
-    ring, then re-minimalize.  Raises UnitIdeal if a generator empties."""
-    if variable not in ideal.variables:
-        raise UnknownVariable(f"unknown variable: {variable}")
-    new_gens = []
-    for g in ideal.generators:
-        h = g - {variable}
-        if not h:
-            raise UnitIdeal(
-                f"evaluating {variable}=1 turns a generator into 1")
-        new_gens.append(h)
-    variables = tuple(v for v in ideal.variables if v != variable)
-    return SquarefreeIdeal(variables, minimalize(new_gens))
 
 
 def is_weakly_polymatroidal(ideal: SquarefreeIdeal,
@@ -187,45 +158,34 @@ def is_weakly_polymatroidal(ideal: SquarefreeIdeal,
 
 
 def has_linear_quotients(ideal: SquarefreeIdeal,
-                         budget: int = DEFAULT_QUOTIENT_BUDGET) -> list[frozenset] | None:
-    """An ordering with linear colon ideals, or None.
+                         variable_order: Sequence[str]) -> bool:
+    """Linear quotients in the lex order of ``variable_order`` (first
+    variable first), for an equigenerated squarefree ideal.
 
-    Greedy on overlap with the previous generator, with full backtracking
-    under a node budget.
+    With the generators in decreasing lex order u_1 > u_2 > ..., the
+    colon (u_1, ..., u_{k-1}) : u_k is generated by the u_j - u_k, and is
+    linear exactly when each of them contains a one-variable one.  A
+    weakly polymatroidal ideal passes in the order of its exchange check
+    (M. Kokubo and T. Hibi, *Weakly polymatroidal ideals*, Algebra
+    Colloq. 13 (2006)).
     """
     ideal.generator_degree()
-    gens = list(ideal.generators)
-    if len(gens) <= 1:
-        return gens
-
-    def colon_linear(prefix: list[frozenset], g: frozenset) -> bool:
-        # (prefix) : g is variable-generated iff each difference p - g
-        # contains a singleton difference q - g.
-        diffs = [p - g for p in prefix]
-        singles = [d for d in diffs if len(d) == 1]
-        return all(any(s <= d for s in singles) for d in diffs)
-
-    nodes = 0
-
-    def search(prefix: list[frozenset], remaining: list[frozenset]):
-        nonlocal nodes
-        if not remaining:
-            return list(prefix)
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded("linear-quotients search budget exhausted")
-        last = prefix[-1] if prefix else frozenset()
-        candidates = sorted(remaining, key=lambda g: -len(g & last))
-        for g in candidates:
-            if prefix and not colon_linear(prefix, g):
-                continue
-            rest = [h for h in remaining if h != g]
-            found = search(prefix + [g], rest)
-            if found is not None:
-                return found
-        return None
-
-    return search([], gens)
+    order = list(variable_order)
+    if sorted(order) != sorted(ideal.variables):
+        raise InvalidParameter("variable_order must list every variable once")
+    # the first variable is the highest bit, so descending masks are lex
+    bit = {v: 1 << i for i, v in enumerate(reversed(order))}
+    masks = sorted((sum(bit[v] for v in g) for g in ideal.generators),
+                   reverse=True)
+    for k, u in enumerate(masks):
+        diffs = [m & ~u for m in masks[:k]]
+        linear = 0
+        for d in diffs:
+            if d.bit_count() == 1:
+                linear |= d
+        if not all(d & linear for d in diffs):
+            return False
+    return True
 
 
 def letterplace_generators(n: int, q: Poset | GradedPoset) -> SquarefreeIdeal:

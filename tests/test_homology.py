@@ -381,6 +381,20 @@ def test_excision_peels_example_4_9(monkeypatch):
         calls.update(collapse=0, vertex=0, morse=0)
         fp.full_betti_table(ideal, GF2)
         assert calls == {"collapse": 119, "vertex": 0, "morse": 0}
+    # K_{6,6} has (2^6 - 1)^2 lcm multidegrees B | T but only 5^2
+    # residual shapes, which is what the memo is for; each restriction
+    # is two disjoint simplices, so beta_{|A|-2,A} = 1 is its one entry
+    bottom = tuple(f"b{i}" for i in range(6))
+    top = tuple(f"t{i}" for i in range(6))
+    k66 = fp.flag_ideal(fp.GradedPoset(fp.bipartite_poset(
+        bottom, top, [(b, u) for b in bottom for u in top])))
+    lattice = fp.lcm_lattice(k66)
+    assert len(lattice) == 3969
+    for f in (GF2, GF(3), QQ):
+        calls.update(collapse=0, vertex=0, morse=0)
+        table = fp.full_betti_table(k66, f)
+        assert calls == {"collapse": 25, "vertex": 0, "morse": 0}, f
+        assert table.entries == {(len(a) - 2, a): 1 for a in lattice}
 
 
 @pytest.mark.parametrize("f", [GF2, GF(3), QQ], ids=str)

@@ -10,7 +10,6 @@ from flagposet.errors import (
     InvalidParameter,
     NotAVPoset,
     NotEquigenerated,
-    UnitIdeal,
     UnknownVariable,
 )
 
@@ -49,17 +48,6 @@ def test_flag_ideal_counts():
     assert len(fp.flag_ideal(fp.example_4_9()).generators) == 17
 
 
-def test_partial_flag_ideal():
-    g = fp.example_3_4()
-    assert fp.partial_flag_ideal(g, {1, 2, 3}) == fp.flag_ideal(g)
-    quad = fp.partial_flag_ideal(g, {1, 2})
-    assert len(quad.generators) == 5
-    assert quad.degrees() == {2}
-    singletons = fp.partial_flag_ideal(g, {2})
-    assert singletons.generators == tuple(frozenset({e})
-                                          for e in ("a2", "b2", "c2"))
-
-
 def test_alexander_dual_basics():
     i = ideal("abc", [("a", "b", "c")])
     assert set(fp.alexander_dual(i).generators) == {frozenset({v})
@@ -74,63 +62,6 @@ def test_alexander_dual_involution_on_corpus():
     for seed in range(200):
         flag = fp.flag_ideal(corpus_poset(seed))
         assert fp.alexander_dual(fp.alexander_dual(flag)) == flag
-
-
-def test_evaluate_to_one():
-    i = ideal("abc", [("a", "b"), ("a", "c")])
-    out = fp.evaluate_to_one(i, "a")
-    assert set(out.generators) == {frozenset({"b"}), frozenset({"c"})}
-    assert out.variables == ("b", "c")
-    untouched = fp.evaluate_to_one(ideal("abc", [("a", "b")]), "c")
-    assert untouched.generators == (frozenset({"a", "b"}),)
-    assert "c" not in untouched.variables
-    with pytest.raises(UnknownVariable):
-        fp.evaluate_to_one(i, "z")
-    with pytest.raises(UnitIdeal):
-        fp.evaluate_to_one(ideal("ab", [("a",)]), "a")
-
-
-def test_evaluation_window_matches_partial_flag_ideal():
-    g = fp.example_3_4()
-    for window in [{1, 2}, {2, 3}, {1, 2, 3}, {2}, {3}]:
-        current = fp.flag_ideal(g)
-        outside = [e for e in g.elements if g.rank[e] not in window]
-        for v in outside:
-            current = fp.evaluate_to_one(current, v)
-        assert current == fp.partial_flag_ideal(g, window)
-
-
-def test_evaluation_window_unit_degeneration():
-    # a chain dying below the window turns a generator into 1
-    g = fp.example_4_9()  # the chain c1 < c2 stops at rank 2
-    current = fp.flag_ideal(g)
-    outside = [e for e in g.elements if g.rank[e] not in {3, 4}]
-    with pytest.raises(UnitIdeal):
-        for v in outside:
-            current = fp.evaluate_to_one(current, v)
-
-
-def test_evaluation_window_invariant_on_corpus():
-    # evaluating every out-of-window variable to 1 gives the partial
-    # flag ideal for contiguous windows reaching down to some maximal
-    # chain's length; below that a generator must empty out
-    for seed in range(0, 200, 3):
-        g = corpus_poset(seed)
-        shortest_top = g.runder()
-        r = g.rbar()
-        for lo in range(1, r + 1):
-            for hi in range(lo, r + 1):
-                window = set(range(lo, hi + 1))
-                current = fp.flag_ideal(g)
-                outside = [e for e in g.elements if g.rank[e] not in window]
-                if lo <= shortest_top:
-                    for v in outside:
-                        current = fp.evaluate_to_one(current, v)
-                    assert current == fp.partial_flag_ideal(g, window)
-                else:
-                    with pytest.raises(UnitIdeal):
-                        for v in outside:
-                            current = fp.evaluate_to_one(current, v)
 
 
 def test_weakly_polymatroidal():
@@ -154,30 +85,39 @@ def test_weakly_polymatroidal_cm_dual_preset():
 
 
 def test_linear_quotients():
-    lq = fp.has_linear_quotients(fp.flag_ideal(fp.hom_rt_poset(2, 2)))
-    assert lq is not None and len(lq) == 3
-    # verify the colon condition along the returned order
-    for k in range(1, len(lq)):
-        diffs = [p - lq[k] for p in lq[:k]]
-        singles = [d for d in diffs if len(d) == 1]
-        assert all(any(s <= d for s in singles) for d in diffs)
-    assert fp.has_linear_quotients(ideal("abcd", [("a", "b"), ("c", "d")])) \
-        is None
-    assert fp.has_linear_quotients(ideal("ab", [("a", "b")])) \
-        == [frozenset({"a", "b"})]
+    # Kokubo-Hibi order: decreasing lex in the given variable order
+    three = ideal("abcd", [("a", "b"), ("a", "c"), ("b", "d")])
+    assert fp.has_linear_quotients(three, "abcd")  # ab > ac > bd
+    assert not fp.has_linear_quotients(three, "cdab")  # ac > bd > ab
+    pair = ideal("abcd", [("a", "b"), ("c", "d")])
+    assert not any(fp.has_linear_quotients(pair, order)
+                   for order in itertools.permutations("abcd"))
+    assert fp.has_linear_quotients(ideal("ab", [("a", "b")]), "ba")
+    mixed = fp.SquarefreeIdeal("abc", [frozenset("a"), frozenset("bc")])
+    with pytest.raises(NotEquigenerated):
+        fp.has_linear_quotients(mixed, "abc")
+    with pytest.raises(InvalidParameter):
+        fp.has_linear_quotients(three, "abc")
+    with pytest.raises(InvalidParameter):
+        fp.has_linear_quotients(three, "abcc")
 
 
-def test_weakly_polymatroidal_implies_linear_quotients():
-    # checked, not assumed, on the corpus duals that carry the property
-    for seed in range(40):
-        g = corpus_poset(seed)
+def test_weakly_polymatroidal_implies_linear_quotients(corpus_b):
+    # checked, not assumed: every CM dual here is weakly polymatroidal
+    # under its dual order, and has linear quotients in that order
+    grids = [fp.hom_rt_poset(r, t) for r in range(1, 17)
+             for t in range(1, 16 // r + 1)]
+    checked = 0
+    for g in corpus_b + [fp.example_4_9()] + grids:
         verdict = fp.check_cm_structural(g)
         if not verdict.value:
             continue
         dual = fp.alexander_dual(fp.flag_ideal(g))
         order = fp.dual_variable_order(verdict.certificate)
-        if fp.is_weakly_polymatroidal(dual, order):
-            assert fp.has_linear_quotients(dual, budget=500000) is not None
+        assert fp.is_weakly_polymatroidal(dual, order)
+        assert fp.has_linear_quotients(dual, order)
+        checked += 1
+    assert checked == 21 + 1 + len(grids) == 72
 
 
 def test_letterplace_generators():
