@@ -12,15 +12,17 @@ The recombination conditions are decomposition-independent once the
 matchings exist (if they hold for one decomposition the poset is
 unmixed, and an unmixed poset satisfies them for every decomposition),
 so they are checked once.  Their pairs of chains are not listed, which
-would take time exponential in the rank: one product automaton walks
-both chains of a pair up together, one rank at a time, keeping the pair
-of current elements while the two have not met, so each instance costs
-at most w^2 states per rank for layer width w.  The same automaton, run
-on narrowed element sets, picks the first failing pair of the
-enumeration order as the witness.  The labeling condition needs no
-search either: a labeling monotone along covers makes every layer's
-biadjacency matrix triangular in label order, with a nonzero diagonal,
-so the decomposition it labels is the poset's only one.  The first
+would take time exponential in the rank: one upward sweep per
+decomposition chain walks both chains of every pair up together, one
+rank at a time, and keeps, for each current element of the first, the
+bitmask of current elements of the second that have not met it, so a
+chain costs at most w states per rank for layer width w.  Only when a
+sweep fails does a product automaton of one instance, run on narrowed
+element sets, pick the first failing pair of the enumeration order as
+the witness.  The labeling condition needs no search either: a
+labeling monotone along covers makes every layer's biadjacency matrix
+triangular in label order, with a nonzero diagonal, so the
+decomposition it labels is the poset's only one.  The first
 decomposition found therefore has a monotone labeling exactly when the
 poset is Cohen-Macaulay, and its chains also give the bi-Cohen-Macaulay
 isomorphism onto the two-chain grid.
@@ -105,14 +107,21 @@ class Verdict:
 # its children that no two elements share; following it from each rank-1
 # element gives the chains.  Parents are stored in element order, so the
 # matching below tries neighbours in a fixed order and its result is
-# deterministic.
+# deterministic.  It runs on element positions, so no names are built.
 
-def _kuhn(tops, neighbors, match: dict[str, str]) -> bool:
+def _bits(m: int):
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _kuhn(tops, neighbors, match: dict) -> bool:
     """Kuhn's augmenting paths: give each of ``tops`` a distinct one of
     its ``neighbors``, recorded in ``match`` as neighbour -> top on top
     of the pairs already there.  False once a top cannot be placed."""
 
-    def augment(t: str, visited: set[str]) -> bool:
+    def augment(t, visited: set) -> bool:
         for b in neighbors(t):
             if b in visited:
                 continue
@@ -129,23 +138,25 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
     """One chain decomposition, or (None, offending layer index): layer
     by layer, every rank-(i+1) element is matched to a distinct parent,
     which needs as many of them as non-maximal rank-i elements."""
-    up: dict[str, str] = {}
+    p, masks = g.poset, g.rank_masks
+    up: dict[int, int] = {}
     for i in range(1, g.rbar()):
-        tops = g.layer(i + 1)
-        if (len(g.trimmed_layer(i)) != len(tops)
-                or not _kuhn(tops, g.poset.parents, up)):
+        tops = list(_bits(masks[i + 1]))
+        inner = sum(1 for x in _bits(masks[i]) if p.child_masks[x])
+        if (inner != len(tops)
+                or not _kuhn(tops, p.parent_indices.__getitem__, up)):
             return None, i
     chains = []
-    for e in g.layer(1) if g.rbar() >= 1 else ():
-        c = [e]
+    for x in _bits(masks[1] if g.rbar() >= 1 else 0):
+        c = [x]
         while c[-1] in up:
             c.append(up[c[-1]])
-        chains.append(tuple(c))
+        chains.append(tuple(p.elements[y] for y in c))
     return tuple(chains), 0
 
 
 # ---------------------------------------------------------------------------
-# Recombination conditions as a product automaton
+# Recombination conditions in one upward sweep per chain
 # ---------------------------------------------------------------------------
 #
 # Condition 3 takes, for each decomposition chain and ranks i < j, every
@@ -160,19 +171,63 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
 # covers the one before; once c2's element is reachable, so is each later
 # one, which covers it.  So a pair fails exactly when the two never meet:
 # they start apart, and no element of c1 is covered by c2's element one
-# rank up, c2's end included.  The automaton's states are the pairs (c1's
-# element, c2's element) of one rank that have not met, at most w^2 per
-# rank for layer width w; a pair that meets can no longer fail and is
-# dropped, and a c2 that cannot reach its end dies out before the last
-# rank, the only place a failure is read.  Everything runs on the index
-# tables that ``posets`` keeps of the Hasse diagram: child and parent
-# indices, child masks, down-sets and rank masks.
+# rank up, c2's end included.
+#
+# One upward sweep per decomposition chain C decides both conditions for
+# all of C's instances at once.  Its states map c1's element a, kept below
+# C's top, to the bitmask of c2's elements of a's rank that have not met
+# c1: at most w states per rank for layer width w.  Each rank i below C's
+# length adds a start for every other rank-i element a below C's top,
+# with chain[i] as c2's element; a pair that meets is dropped.  Merging
+# the start ranks and the two conditions keeps the decision: every
+# instance's run lies inside the sweep, and every state is a never-met
+# pair of one instance, of condition 3 once a is covered by an element
+# of C, and of condition 4 because c1 extends through a to C's top,
+# whose down-set holds that of every chain[k].
+#
+# Only a failed sweep names its witness, with the product automaton of
+# one instance: its states are the pairs (c1's element, c2's element) of
+# one rank that have not met, at most w^2 per rank, and run on narrowed
+# element sets it picks the first failing pair of the enumeration order.
+# Everything runs on the index tables that ``posets`` keeps of the Hasse
+# diagram: child and parent indices, child masks, down-sets and rank
+# masks.
 
-def _bits(m: int):
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
+def _maximal_mask(p: Poset) -> int:
+    """The maximal elements, as a bitmask over element positions."""
+    return sum(1 << x for x, kids in enumerate(p.child_masks) if not kids)
+
+
+def _sweep_fails(g: GradedPoset, c: list[int], maxes: int) -> bool:
+    """True if some instance of condition 3 or 4 on the decomposition
+    chain ``c`` (element positions, rank 1 up) has a failing pair;
+    ``maxes`` is the bitmask of the maximal elements."""
+    p, masks = g.poset, g.rank_masks
+    kmask, kids = p.child_masks, p.child_indices
+    under = p.down_sets[c[-1]]
+    states: dict[int, int] = {}
+    for r in range(1, len(c)):
+        # c2 starts at chain[r], c1 at every other rank-r element
+        for a in _bits(under & masks[r] & ~(1 << c[r - 1])):
+            states[a] = states.get(a, 0) | 1 << c[r - 1]
+        nxt: dict[int, int] = {}
+        for a, bs in states.items():
+            step = 0
+            for b in _bits(bs):
+                step |= kmask[b]
+            step &= ~kmask[a]
+            if not step:
+                continue
+            # condition 3 ends at chain[r + 1], if it covers a; condition 4
+            # at a maximal element of rank r + 1, if C reaches higher
+            if (kmask[a] >> c[r] & 1
+                    or r + 1 < len(c) and step & maxes & masks[r + 1]):
+                return True
+            for a2 in kids[a]:
+                if under >> a2 & 1:
+                    nxt[a2] = nxt.get(a2, 0) | step
+        states = nxt
+    return False
 
 
 def _cases(g: GradedPoset, chains):
@@ -269,20 +324,30 @@ def _failing_pair(g: GradedPoset, i: int, bottom: int, top: int,
 def _chain_conditions(g: GradedPoset) -> tuple[tuple | None, dict | None]:
     """Conditions 2-4, shared by unmixedness and Cohen-Macaulayness: a
     chain decomposition, and the two recombination conditions on it,
-    each instance one automaton run of at most w^2 states per rank.
-    Returns ``(chains, None)``, or ``(None, witness)`` for the first
-    condition that fails."""
+    decided by one sweep per chain.  Returns ``(chains, None)``, or
+    ``(None, witness)`` for the first condition that fails; only then
+    do the instances run one by one, to name the first failing pair."""
     chains, bad = _first_decomposition(g)
     if chains is None:
         return None, {"condition": 2, "layer": bad}
-    for cond, chain, *case in _cases(g, chains):
-        pair = _failing_pair(g, *case)
-        if pair:
-            witness = {"condition": cond, "through": chain,
-                       "chain1": pair[0], "chain2": pair[1]}
-            if cond == 4:
-                witness["maximal"] = g.elements[case[-1]]
-            return None, witness
+    p = g.poset
+    maxes = _maximal_mask(p)
+    for u, chain in enumerate(chains):
+        if not _sweep_fails(g, [p.index(e) for e in chain], maxes):
+            continue
+        # no instance on an earlier chain fails, so the first failure in
+        # checking order lies on chains[u:]
+        for cond, through, *case in _cases(g, chains[u:]):
+            pair = _failing_pair(g, *case)
+            if pair:
+                witness = {"condition": cond, "through": through,
+                           "chain1": pair[0], "chain2": pair[1]}
+                if cond == 4:
+                    witness["maximal"] = g.elements[case[-1]]
+                return None, witness
+        raise RuntimeError(
+            f"internal disagreement: the sweep through chain {chain} "
+            "fails, but no instance names a failing pair")
     return chains, None
 
 
@@ -305,22 +370,39 @@ def check_unmixed_structural(g: GradedPoset) -> Verdict:
 def check_weak_conditions(g: GradedPoset) -> tuple[bool, bool]:
     """The weakened recombination conditions: the recombined chain may
     run anywhere in the poset, so a pair holds exactly when c1's start
-    lies below c2's end.  Each instance is then a test on two element
-    sets, linear in the layer widths: every rank-i element below c1's
-    top lies strictly below every end that c2 can reach.  Vacuously
-    true when no chain decomposition exists."""
+    lies below c2's end.  Per decomposition chain and ranks i < j, each
+    condition is then one test on bitmasks: every rank-i element below
+    chain[j] (condition 3), or below the chain's top when j is not its
+    last rank (condition 4, covering every chain[k] above j), lies below
+    every rank-j end above chain[i], any element for condition 3 and a
+    maximal one for condition 4.  Vacuously true when no chain
+    decomposition exists."""
     chains, _ = _first_decomposition(g)
     if chains is None:
         return True, True
-    below = g.poset.down_sets
-    ok = {3: True, 4: True}
-    for cond, _, i, bottom, top, _, span, w in _cases(g, chains):
-        if ok[cond]:
-            starts = below[top] & g.rank_masks[i]
-            ends = g.rank_masks[i + span] if w is None else 1 << w
-            ok[cond] = all(starts & ~below[e] == 0 for e in _bits(ends)
-                           if below[e] >> bottom & 1)
-    return ok[3], ok[4]
+    p, masks = g.poset, g.rank_masks
+    below = p.down_sets
+    above = [0] * len(p)
+    for x in reversed(p.topological_indices):
+        up = 1 << x
+        for y in p.child_indices[x]:
+            up |= above[y]
+        above[x] = up
+    maxes = _maximal_mask(p)
+
+    def holds(starts: int, ends: int) -> bool:
+        return all(ends & ~above[s] == 0 for s in _bits(starts))
+
+    ok3 = ok4 = True
+    for chain in chains:
+        c = [p.index(e) for e in chain]
+        for i in range(1, len(c)):
+            for j in range(i + 1, len(c) + 1):
+                ends = above[c[i - 1]] & masks[j]
+                ok3 = ok3 and holds(below[c[j - 1]] & masks[i], ends)
+                ok4 = ok4 and (j == len(c) or holds(below[c[-1]] & masks[i],
+                                                    ends & maxes))
+    return ok3, ok4
 
 
 def _label_order(g: GradedPoset, chains) -> list[int] | None:

@@ -92,6 +92,30 @@ def generated_chain_posets(count):
     return out
 
 
+def impure_chain_posets(count):
+    """Seeded posets of 3-5 disjoint chains of 1-5 elements, of at least
+    three lengths, so their maximal elements lie on three ranks or more,
+    joined by sparse random covers that keep the chains a decomposition.
+    Condition 4 fails on more of them than on ``generated_chain_posets``,
+    whose covers are denser and break condition 3 first."""
+    rng = random.Random(20261020)
+    out = []
+    while len(out) < count:
+        lengths = [rng.randint(1, 5) for _ in range(rng.randint(3, 5))]
+        if len(set(lengths)) < 3:
+            continue
+        chains = [[f"c{u}_{r}" for r in range(1, n + 1)]
+                  for u, n in enumerate(lengths, 1)]
+        q = rng.choice((0.1, 0.2, 0.3))
+        covers = [(c[r], c[r + 1]) for c in chains for r in range(len(c) - 1)]
+        covers += [(a[r], b[r + 1]) for a in chains for b in chains
+                   if a is not b for r in range(min(len(a), len(b)) - 1)
+                   if rng.random() < q]
+        out.append(fp.GradedPoset(fp.Poset(
+            [e for c in chains for e in c], covers)))
+    return out
+
+
 def compositions(n):
     if n == 0:
         yield ()

@@ -6,8 +6,10 @@ import flagposet as fp
 from flagposet.errors import BudgetExceeded, InvalidCertificate, InvalidParameter
 
 from conftest import (
+    census,
     corpus_poset,
     generated_chain_posets,
+    impure_chain_posets,
     structural_grids_posets,
     sweep_layer,
     sweep_poset,
@@ -309,6 +311,81 @@ def test_chain_conditions_equal_pair_enumeration(monkeypatch, corpus_b,
             cond = unmixed["witness"]["condition"]
             counts[cond] = counts.get(cond, 0) + 1
     assert counts == failing
+
+
+@pytest.mark.parametrize("pool, failing, weak", [
+    ("census", {3: 105}, {(True, True): 1418, (False, True): 105}),
+    ("impure", {3: 278, 4: 30},
+     {(True, True): 492, (False, False): 176, (False, True): 102,
+      (True, False): 30})])
+def test_sweep_equals_instances(pool, failing, weak):
+    # one sweep per chain fails exactly when one of the chain's instances
+    # of condition 3 or 4 has a failing pair
+    from flagposet import characterize
+    posets = {
+        "census": lambda: [g for n in range(1, 7) for g, _ in census(n)],
+        "impure": lambda: impure_chain_posets(800),
+    }[pool]()
+    counts, outcomes = {}, {}
+    for g in posets:
+        chains, _ = characterize._first_decomposition(g)
+        maxes = characterize._maximal_mask(g.poset)
+        for chain in chains or ():
+            c = [g.poset.index(e) for e in chain]
+            assert characterize._sweep_fails(g, c, maxes) == any(
+                characterize._failing_pair(g, *case[2:])
+                for case in characterize._cases(g, [chain]))
+        cond = (fp.check_unmixed_structural(g).witness or {}).get("condition")
+        if cond in (3, 4):
+            counts[cond] = counts.get(cond, 0) + 1
+        key = fp.check_weak_conditions(g)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert counts == failing
+    assert outcomes == weak
+
+
+class WitnessSearched(Exception):
+    pass
+
+
+def _five_checks(g):
+    return (fp.check_unmixed_structural(g), fp.check_cm_structural(g),
+            fp.has_linear_resolution_structural(g),
+            fp.check_weak_conditions(g), fp.is_bi_cm(g))
+
+
+def test_witness_automaton_runs_only_on_a_failure(monkeypatch):
+    from flagposet import characterize
+    failing = {}
+    for g in generated_chain_posets(200):
+        witness = fp.check_unmixed_structural(g).witness or {}
+        failing.setdefault(witness.get("condition"), g)
+
+    def searched(*args):
+        raise WitnessSearched
+
+    monkeypatch.setattr(characterize, "_failing_pair", searched)
+    grids = ([fp.hom_rt_poset(r, t) for r in range(1, 9)
+              for t in range(1, 9)] + [fp.hom_rt_poset(12, 12)])
+    for g in structural_grids_posets(1)[::7] + grids + [fp.example_4_9()]:
+        unmixed, cm, linear, weak, bi = _five_checks(g)
+        assert unmixed.value and cm.value and weak == (True, True)
+        if g in grids:
+            assert linear.value and bi.value
+    for cond in (3, 4):
+        with pytest.raises(WitnessSearched):
+            fp.check_unmixed_structural(failing[cond])
+
+
+def test_sweep_instance_disagreement_is_an_internal_error(monkeypatch):
+    from flagposet import characterize
+    g, witness = next((g, w) for g in generated_chain_posets(200)
+                      for w in [fp.check_unmixed_structural(g).witness]
+                      if w and w["condition"] == 3)
+    monkeypatch.setattr(characterize, "_failing_pair", lambda *args: None)
+    with pytest.raises(RuntimeError, match="internal disagreement") as err:
+        fp.check_unmixed_structural(g)
+    assert str(tuple(witness["through"])) in str(err.value)
 
 
 def test_grids_pass_the_chain_conditions_at_default_budgets():
