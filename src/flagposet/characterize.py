@@ -27,6 +27,17 @@ decomposition found therefore has a monotone labeling exactly when the
 poset is Cohen-Macaulay, and its chains also give the bi-Cohen-Macaulay
 isomorphism onto the two-chain grid.
 
+A layer has a linear resolution's shape when it is a Ferrers graph: no
+isolated vertex, and its neighbourhoods nested.  One Ferrers core
+decides it on neighbourhood bitmasks, fed by the poset's child masks
+and down-sets for a rank pair or by one pass over the edges of a named
+``BipartiteLayer``.
+
+The checks run on element positions and the bitmask tables that
+``posets`` keeps of the Hasse diagram, from input to verdict: names are
+built only for the certificate or witness that is returned, and the
+certificate's validator maps them back to positions once.
+
 The certificate's readers sit next to it: the level filtrations of a
 chain-decomposed poset, the minimal vertex cover each one picks, and the
 variable order under which the Alexander dual is weakly polymatroidal.
@@ -40,7 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import covers, homology
-from .errors import InvalidCertificate, InvalidParameter, NotGraded
+from .errors import (
+    InvalidCertificate,
+    InvalidParameter,
+    NotGraded,
+    UnknownElement,
+)
 from .fields import GF2
 from .ideals import flag_ideal
 from .posets import (
@@ -65,25 +81,37 @@ class ChainDecomposition:
     chains: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        g = self.graded
-        seen: set[str] = set()
-        maxes = set(g.poset.maximal_elements())
-        for c in self.chains:
-            if not c:
+        # names become positions once; the checks read the rank masks
+        # and child masks
+        p = self.graded.poset
+        try:
+            positions = [list(map(p.index, c)) for c in self.chains]
+        except UnknownElement as err:
+            raise InvalidCertificate(f"chain holds an {err}") from None
+        names, masks, kmask = p.elements, self.graded.rank_masks, p.child_masks
+        seen = 0
+        for c, xs in zip(self.chains, positions):
+            if not xs:
                 raise InvalidCertificate("empty chain")
-            if g.rank[c[0]] != 1:
+            if not masks[1] >> xs[0] & 1:
                 raise InvalidCertificate(f"chain must start at rank 1: {c}")
-            if c[-1] not in maxes:
+            if kmask[xs[-1]]:
                 raise InvalidCertificate(
                     f"chain must end at a maximal element: {c}")
-            for a, b in zip(c, c[1:]):
-                if not g.poset.is_cover(a, b):
-                    raise InvalidCertificate(f"not saturated: {a} < {b}")
-            for e in c:
-                if e in seen:
-                    raise InvalidCertificate(f"chains overlap at {e}")
-                seen.add(e)
-        if seen != set(g.elements):
+            a = xs[0]
+            mask = 1 << a
+            for b in xs[1:]:
+                if not kmask[a] >> b & 1:
+                    raise InvalidCertificate(
+                        f"not saturated: {names[a]} < {names[b]}")
+                mask |= 1 << b
+                a = b
+            # a saturated chain repeats no element
+            if seen & mask:
+                x = next(x for x in xs if seen >> x & 1)
+                raise InvalidCertificate(f"chains overlap at {names[x]}")
+            seen |= mask
+        if seen != (1 << len(p)) - 1:
             raise InvalidCertificate("chains must cover the poset")
 
 
@@ -107,13 +135,17 @@ class Verdict:
 # its children that no two elements share; following it from each rank-1
 # element gives the chains.  Parents are stored in element order, so the
 # matching below tries neighbours in a fixed order and its result is
-# deterministic.  It runs on element positions, so no names are built.
+# deterministic.  It runs on element positions, and so do the chains it
+# returns, until a verdict names them.
 
-def _bits(m: int):
+def _positions(m: int) -> list[int]:
+    """The set bits of ``m``, ascending."""
+    out = []
     while m:
         low = m & -m
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         m ^= low
+    return out
 
 
 def _kuhn(tops, neighbors, match: dict) -> bool:
@@ -134,25 +166,36 @@ def _kuhn(tops, neighbors, match: dict) -> bool:
     return all(augment(t, set()) for t in tops)
 
 
-def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | None, int]:
-    """One chain decomposition, or (None, offending layer index): layer
-    by layer, every rank-(i+1) element is matched to a distinct parent,
-    which needs as many of them as non-maximal rank-i elements."""
+def _maximal_mask(p: Poset) -> int:
+    """The maximal elements, as a bitmask over element positions."""
+    return sum(1 << x for x, kids in enumerate(p.child_masks) if not kids)
+
+
+def _first_decomposition(g: GradedPoset, maxes: int
+                         ) -> tuple[tuple[tuple[int, ...], ...] | None, int]:
+    """One chain decomposition as element positions, or (None, offending
+    layer index): layer by layer, every rank-(i+1) element is matched to
+    a distinct parent, which needs as many of them as non-maximal rank-i
+    elements.  ``maxes`` is the bitmask of the maximal elements."""
     p, masks = g.poset, g.rank_masks
     up: dict[int, int] = {}
     for i in range(1, g.rbar()):
-        tops = list(_bits(masks[i + 1]))
-        inner = sum(1 for x in _bits(masks[i]) if p.child_masks[x])
-        if (inner != len(tops)
-                or not _kuhn(tops, p.parent_indices.__getitem__, up)):
+        if ((masks[i] & ~maxes).bit_count() != masks[i + 1].bit_count()
+                or not _kuhn(_positions(masks[i + 1]),
+                             p.parent_indices.__getitem__, up)):
             return None, i
     chains = []
-    for x in _bits(masks[1] if g.rbar() >= 1 else 0):
+    for x in _positions(masks[1] if g.rbar() >= 1 else 0):
         c = [x]
         while c[-1] in up:
             c.append(up[c[-1]])
-        chains.append(tuple(p.elements[y] for y in c))
+        chains.append(tuple(c))
     return tuple(chains), 0
+
+
+def _named(p: Poset, chain) -> tuple[str, ...]:
+    """A chain of element positions as names."""
+    return tuple(map(p.elements.__getitem__, chain))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +236,7 @@ def _first_decomposition(g: GradedPoset) -> tuple[tuple[tuple[str, ...], ...] | 
 # diagram: child and parent indices, child masks, down-sets and rank
 # masks.
 
-def _maximal_mask(p: Poset) -> int:
-    """The maximal elements, as a bitmask over element positions."""
-    return sum(1 << x for x, kids in enumerate(p.child_masks) if not kids)
-
-
-def _sweep_fails(g: GradedPoset, c: list[int], maxes: int) -> bool:
+def _sweep_fails(g: GradedPoset, c: tuple[int, ...], maxes: int) -> bool:
     """True if some instance of condition 3 or 4 on the decomposition
     chain ``c`` (element positions, rank 1 up) has a failing pair;
     ``maxes`` is the bitmask of the maximal elements."""
@@ -208,13 +246,20 @@ def _sweep_fails(g: GradedPoset, c: list[int], maxes: int) -> bool:
     states: dict[int, int] = {}
     for r in range(1, len(c)):
         # c2 starts at chain[r], c1 at every other rank-r element
-        for a in _bits(under & masks[r] & ~(1 << c[r - 1])):
-            states[a] = states.get(a, 0) | 1 << c[r - 1]
+        start = 1 << c[r - 1]
+        m = under & masks[r] & ~start
+        while m:
+            low = m & -m
+            a = low.bit_length() - 1
+            states[a] = states.get(a, 0) | start
+            m ^= low
         nxt: dict[int, int] = {}
         for a, bs in states.items():
             step = 0
-            for b in _bits(bs):
-                step |= kmask[b]
+            while bs:
+                low = bs & -bs
+                step |= kmask[low.bit_length() - 1]
+                bs ^= low
             step &= ~kmask[a]
             if not step:
                 continue
@@ -232,26 +277,25 @@ def _sweep_fails(g: GradedPoset, c: list[int], maxes: int) -> bool:
 
 def _cases(g: GradedPoset, chains):
     """The instances of conditions 3 and 4 in checking order, each as
-    (condition, chain, i, bottom, top, height, span, w): c1 runs
-    ``height`` covers from rank i up to ``top``, and c2 ``span`` covers
-    up from the chain's rank-i element ``bottom`` to any element (``w``
-    None) or to the maximal element ``w``."""
-    index = g.poset.index
-    for chain in chains:
-        c = [index(e) for e in chain]
+    (condition, chain, i, bottom, top, height, span, w), all element
+    positions: c1 runs ``height`` covers from rank i up to ``top``, and
+    c2 ``span`` covers up from the chain's rank-i element ``bottom`` to
+    any element (``w`` None) or to the maximal element ``w``."""
+    for c in chains:
         for i in range(1, len(c) + 1):
             for j in range(i + 1, len(c) + 1):
-                yield 3, chain, i, c[i - 1], c[j - 1], j - i, j - i, None
+                yield 3, c, i, c[i - 1], c[j - 1], j - i, j - i, None
+    p = g.poset
     maxes: dict[int, list[int]] = {}
-    for e in g.poset.maximal_elements():
-        maxes.setdefault(g.rank[e], []).append(index(e))
-    for chain in chains:
-        c = [index(e) for e in chain]
+    for x, kids in enumerate(p.child_masks):
+        if not kids:
+            maxes.setdefault(g.rank[p.elements[x]], []).append(x)
+    for c in chains:
         for i in range(1, len(c) - 1):
             for k in range(i + 2, len(c) + 1):
                 for j in range(i + 1, k):
                     for w in maxes.get(j, ()):
-                        yield 4, chain, i, c[i - 1], c[k - 1], k - i, j - i, w
+                        yield 4, c, i, c[i - 1], c[k - 1], k - i, j - i, w
 
 
 def _fails(p: Poset, amasks, bmasks, ends: int) -> bool:
@@ -262,12 +306,12 @@ def _fails(p: Poset, amasks, bmasks, ends: int) -> bool:
     the last level), so that each state extends to a whole c1."""
     kmask, kids = p.child_masks, p.child_indices
     span = len(amasks)
-    states = {a: bmasks[0] & ~(1 << a) for a in _bits(amasks[0])}
+    states = {a: bmasks[0] & ~(1 << a) for a in _positions(amasks[0])}
     for level in range(1, span + 1):
         nxt: dict[int, int] = {}
         for a, bs in states.items():
             step = 0
-            for b in _bits(bs):
+            for b in _positions(bs):
                 step |= kmask[b]
             step &= ~kmask[a]
             if level == span:
@@ -324,30 +368,31 @@ def _failing_pair(g: GradedPoset, i: int, bottom: int, top: int,
 def _chain_conditions(g: GradedPoset) -> tuple[tuple | None, dict | None]:
     """Conditions 2-4, shared by unmixedness and Cohen-Macaulayness: a
     chain decomposition, and the two recombination conditions on it,
-    decided by one sweep per chain.  Returns ``(chains, None)``, or
-    ``(None, witness)`` for the first condition that fails; only then
-    do the instances run one by one, to name the first failing pair."""
-    chains, bad = _first_decomposition(g)
-    if chains is None:
-        return None, {"condition": 2, "layer": bad}
+    decided by one sweep per chain.  Returns ``(chains, None)``, the
+    chains as element positions, or ``(None, witness)`` for the first
+    condition that fails; only then do the instances run one by one, to
+    name the first failing pair."""
     p = g.poset
     maxes = _maximal_mask(p)
+    chains, bad = _first_decomposition(g, maxes)
+    if chains is None:
+        return None, {"condition": 2, "layer": bad}
     for u, chain in enumerate(chains):
-        if not _sweep_fails(g, [p.index(e) for e in chain], maxes):
+        if not _sweep_fails(g, chain, maxes):
             continue
         # no instance on an earlier chain fails, so the first failure in
         # checking order lies on chains[u:]
         for cond, through, *case in _cases(g, chains[u:]):
             pair = _failing_pair(g, *case)
             if pair:
-                witness = {"condition": cond, "through": through,
+                witness = {"condition": cond, "through": _named(p, through),
                            "chain1": pair[0], "chain2": pair[1]}
                 if cond == 4:
                     witness["maximal"] = g.elements[case[-1]]
                 return None, witness
         raise RuntimeError(
-            f"internal disagreement: the sweep through chain {chain} "
-            "fails, but no instance names a failing pair")
+            f"internal disagreement: the sweep through chain "
+            f"{_named(p, chain)} fails, but no instance names a failing pair")
     return chains, None
 
 
@@ -362,9 +407,11 @@ def check_unmixed_structural(g: GradedPoset) -> Verdict:
     chains, witness = _chain_conditions(g)
     if chains is None:
         return Verdict(False, witness=witness)
-    ordered = tuple(sorted(chains, key=lambda c: (-len(c),
-                                                  g.poset.index(c[0]))))
-    return Verdict(True, certificate=ChainDecomposition(g, ordered))
+    # longest first; the chains come in order of their rank-1 positions,
+    # which the stable sort keeps among equal lengths
+    ordered = sorted(chains, key=len, reverse=True)
+    return Verdict(True, certificate=ChainDecomposition(
+        g, tuple(_named(g.poset, c) for c in ordered)))
 
 
 def check_weak_conditions(g: GradedPoset) -> tuple[bool, bool]:
@@ -377,25 +424,29 @@ def check_weak_conditions(g: GradedPoset) -> tuple[bool, bool]:
     every rank-j end above chain[i], any element for condition 3 and a
     maximal one for condition 4.  Vacuously true when no chain
     decomposition exists."""
-    chains, _ = _first_decomposition(g)
+    p, masks = g.poset, g.rank_masks
+    maxes = _maximal_mask(p)
+    chains, _ = _first_decomposition(g, maxes)
     if chains is None:
         return True, True
-    p, masks = g.poset, g.rank_masks
-    below = p.down_sets
+    below, kids = p.down_sets, p.child_indices
     above = [0] * len(p)
     for x in reversed(p.topological_indices):
         up = 1 << x
-        for y in p.child_indices[x]:
+        for y in kids[x]:
             up |= above[y]
         above[x] = up
-    maxes = _maximal_mask(p)
 
     def holds(starts: int, ends: int) -> bool:
-        return all(ends & ~above[s] == 0 for s in _bits(starts))
+        while starts:
+            low = starts & -starts
+            if ends & ~above[low.bit_length() - 1]:
+                return False
+            starts ^= low
+        return True
 
     ok3 = ok4 = True
-    for chain in chains:
-        c = [p.index(e) for e in chain]
+    for c in chains:
         for i in range(1, len(c)):
             for j in range(i + 1, len(c) + 1):
                 ends = above[c[i - 1]] & masks[j]
@@ -407,12 +458,18 @@ def check_weak_conditions(g: GradedPoset) -> tuple[bool, bool]:
 
 def _label_order(g: GradedPoset, chains) -> list[int] | None:
     """Topological order of the chain constraint digraph (an edge u -> v
-    for each cover from chain u into chain v), or None on a cycle."""
-    tid = {e: u for u, c in enumerate(chains) for e in c}
+    for each cover from chain u into chain v), or None on a cycle; the
+    chains are element positions."""
+    tid = [0] * len(g.poset)
+    for u, c in enumerate(chains):
+        for x in c:
+            tid[x] = u
     succ: list[set[int]] = [set() for _ in chains]
-    for p, q in g.covers:
-        if tid[p] != tid[q]:
-            succ[tid[p]].add(tid[q])
+    for x, ys in enumerate(g.poset.child_indices):
+        u = tid[x]
+        for y in ys:
+            if tid[y] != u:
+                succ[u].add(tid[y])
     order = topological_order(succ)
     return order if len(order) == len(chains) else None
 
@@ -437,13 +494,18 @@ def check_cm_structural(g: GradedPoset) -> Verdict:
         return Verdict(False, witness={
             "condition": 5,
             "note": "every chain labeling has a cover running downward"})
-    ordered = tuple(chains[u] for u in order)
-    return Verdict(True, certificate=ChainDecomposition(g, ordered))
+    return Verdict(True, certificate=ChainDecomposition(
+        g, tuple(_named(g.poset, chains[u]) for u in order)))
 
 
 # ---------------------------------------------------------------------------
 # Ferrers layers and linear resolutions
 # ---------------------------------------------------------------------------
+#
+# One core, ``_ferrers``, reads neighbourhood bitmasks: a rank pair of a
+# poset gives them as child masks and down-sets, with no layer of names,
+# and ``is_ferrers`` builds them from a named layer's edges.  Staircase
+# orders and witnesses are names, built once the verdict is known.
 
 def has_2k2(layer: BipartiteLayer) -> tuple[str, str, str, str] | None:
     """Two disjoint edges with no cross edges, or None."""
@@ -458,44 +520,64 @@ def has_2k2(layer: BipartiteLayer) -> tuple[str, str, str, str] | None:
     return None
 
 
+def _by_degree(hoods) -> list[int]:
+    """Indices into ``hoods`` by neighbourhood size, largest first, ties
+    in index order (the sort is stable)."""
+    degrees = [h.bit_count() for h in hoods]
+    return sorted(range(len(hoods)), key=degrees.__getitem__, reverse=True)
+
+
+def _ferrers(bottom, bhoods, top, thoods, names) -> Verdict:
+    """The Ferrers core: ``bottom`` and ``top`` list the vertex ids of
+    the two sides in side order, ``bhoods`` and ``thoods`` their
+    neighbourhoods as bitmasks over the ids, and ``names[v]`` is the
+    name of id v.  Names are built only for the verdict.
+
+    The bottom neighbourhoods are nested exactly when no two edges form
+    an induced 2K2, and so are the top ones, so only the bottom side's
+    staircase is checked; the witness of its first failing pair x, y
+    takes the least name of N(x) - N(y) and of N(y) - N(x)."""
+    for side, hoods in ((bottom, bhoods), (top, thoods)):
+        if not all(hoods):
+            return Verdict(False, witness={
+                "isolated_vertex": names[side[hoods.index(0)]]})
+    rows = _by_degree(bhoods)
+    for k, l in zip(rows, rows[1:]):
+        if bhoods[l] & ~bhoods[k]:
+            q1 = min(names[z] for z in _positions(bhoods[k] & ~bhoods[l]))
+            q2 = min(names[z] for z in _positions(bhoods[l] & ~bhoods[k]))
+            return Verdict(False, witness={"two_disjoint_edges": (
+                names[bottom[k]], q1, names[bottom[l]], q2)})
+    return Verdict(True, certificate={
+        "rows": [names[bottom[k]] for k in rows],
+        "cols": [names[top[k]] for k in _by_degree(thoods)]})
+
+
 def is_ferrers(layer: BipartiteLayer) -> Verdict:
     """Staircase recognition: no isolated vertices, and neighborhoods on
     both sides totally ordered by inclusion after a degree sort.  The
     certificate is the pair of staircase orderings; the witness is an
     isolated vertex or an induced pair of disjoint edges."""
-    if not layer.bottom and not layer.top:
-        return Verdict(True, certificate={"rows": [], "cols": []})
-    nb = {a: frozenset(layer.neighbors_bottom(a)) for a in layer.bottom}
-    nt = {b: frozenset(layer.neighbors_top(b)) for b in layer.top}
-    for v in layer.bottom:
-        if not nb[v]:
-            return Verdict(False, witness={"isolated_vertex": v})
-    for v in layer.top:
-        if not nt[v]:
-            return Verdict(False, witness={"isolated_vertex": v})
+    nb = len(layer.bottom)
+    names = layer.bottom + layer.top
+    ids = {v: k for k, v in enumerate(names)}
+    hoods = [0] * len(names)
+    for a, b in layer.edges:
+        hoods[ids[a]] |= 1 << ids[b]
+        hoods[ids[b]] |= 1 << ids[a]
+    return _ferrers(range(nb), hoods[:nb], range(nb, len(names)),
+                    hoods[nb:], names)
 
-    def staircase(side, hoods):
-        pos = {v: i for i, v in enumerate(side)}
-        order = sorted(side, key=lambda v: (-len(hoods[v]), pos[v]))
-        for x, y in zip(order, order[1:]):
-            if not hoods[y] <= hoods[x]:
-                q2 = min(hoods[y] - hoods[x])
-                q1 = min(hoods[x] - hoods[y])
-                return None, (x, q1, y, q2)
-        return order, None
 
-    rows, viol = staircase(layer.bottom, nb)
-    if rows is None:
-        x, q1, y, q2 = viol
-        return Verdict(False, witness={"two_disjoint_edges":
-                                       (x, q1, y, q2)})
-    cols, viol = staircase(layer.top, nt)
-    if cols is None:
-        b1, a1, b2, a2 = viol
-        return Verdict(False, witness={"two_disjoint_edges":
-                                       (a1, b1, a2, b2)})
-    return Verdict(True, certificate={"rows": list(rows),
-                                      "cols": list(cols)})
+def _layer_ferrers(g: GradedPoset, i: int) -> Verdict:
+    """``is_ferrers(layer_pair(g, i))`` on element positions: a rank-i
+    element's neighbourhood is its child mask, and a rank-(i+1)
+    element's is its down-set within rank i, its parents."""
+    p, masks = g.poset, g.rank_masks
+    bottom, top = _positions(masks[i]), _positions(masks[i + 1])
+    return _ferrers(bottom, [p.child_masks[a] for a in bottom],
+                    top, [p.down_sets[b] & masks[i] for b in top],
+                    p.elements)
 
 
 def has_linear_resolution_structural(g: GradedPoset) -> Verdict:
@@ -505,7 +587,7 @@ def has_linear_resolution_structural(g: GradedPoset) -> Verdict:
         return Verdict(False, witness={"impure": {"maximal_ranks": ranks}})
     layers = []
     for i in range(1, g.rbar()):
-        verdict = is_ferrers(layer_pair(g, i, trim=False))
+        verdict = _layer_ferrers(g, i)
         if not verdict.value:
             return Verdict(False, witness={"layer": i, **verdict.witness})
         layers.append({"layer": i, **verdict.certificate})
@@ -791,12 +873,11 @@ def classification_report(p: Poset | GradedPoset, f=None,
     layers = []
     for i in range(1, g.rbar()):
         sub = rank_selection(g, {i, i + 1})
-        untrimmed = layer_pair(g, i, trim=False)
         trimmed = layer_pair(g, i, trim=True)
         layers.append({
             "ranks": [i, i + 1],
             "unmixed": check_unmixed_structural(sub).value,
-            "ferrers": is_ferrers(untrimmed).value,
+            "ferrers": _layer_ferrers(g, i).value,
             "herzog_hibi_cm": herzog_hibi_bipartite_cm(trimmed).value,
         })
     report["layers"] = layers

@@ -485,11 +485,12 @@ def _lcm_walk(ideal: SquarefreeIdeal) -> Iterator[tuple[int, list[int]]]:
     for the whole walk; for an n-element mask a nonzero ``dims[k]`` with
     k < n is beta_{n-1-k,A}.
     """
-    width = len(ideal.variables)
     index = {v: i for i, v in enumerate(ideal.variables)}
     gens = _gen_masks(ideal, index)
-    for mask in sorted(_lcm_unions(gens),
-                       key=lambda m: m.bit_count() << width | m, reverse=True):
+    # by value, then stably by size: two sorts with no Python key call
+    masks = sorted(_lcm_unions(gens), reverse=True)
+    masks.sort(key=int.bit_count, reverse=True)
+    for mask in masks:
         outside = ~mask
         yield mask, [g for g in gens if not g & outside]
 

@@ -328,6 +328,8 @@ class BipartiteLayer:
 
     def __post_init__(self):
         bset, tset = set(self.bottom), set(self.top)
+        if len(bset) < len(self.bottom) or len(tset) < len(self.top):
+            raise InvalidParameter("a layer side lists a vertex twice")
         if bset & tset:
             raise InvalidParameter("layer sides must be disjoint")
         for a, b in self.edges:

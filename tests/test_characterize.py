@@ -250,25 +250,34 @@ def _condition4(g, chains, weak):
     return True, None
 
 
-def _reference_chain_conditions(g):
+def _decomposition(g):
+    """The first chain decomposition, as element positions, or None."""
     from flagposet import characterize
-    chains, bad = characterize._first_decomposition(g)
+    return characterize._first_decomposition(
+        g, characterize._maximal_mask(g.poset))
+
+
+def _named(g, chains):
+    return [tuple(g.elements[x] for x in c) for c in chains]
+
+
+def _reference_chain_conditions(g):
+    chains, bad = _decomposition(g)
     if chains is None:
         return None, {"condition": 2, "layer": bad}
     for number, condition in ((3, _condition3), (4, _condition4)):
-        ok, wit = condition(g, chains, weak=False)
+        ok, wit = condition(g, _named(g, chains), weak=False)
         if not ok:
             return None, {"condition": number, **wit}
     return chains, None
 
 
 def _reference_weak_conditions(g):
-    from flagposet import characterize
-    chains, _ = characterize._first_decomposition(g)
+    chains, _ = _decomposition(g)
     if chains is None:
         return True, True
-    return (_condition3(g, chains, weak=True)[0],
-            _condition4(g, chains, weak=True)[0])
+    return (_condition3(g, _named(g, chains), weak=True)[0],
+            _condition4(g, _named(g, chains), weak=True)[0])
 
 
 def _structural_json(g):
@@ -328,11 +337,10 @@ def test_sweep_equals_instances(pool, failing, weak):
     }[pool]()
     counts, outcomes = {}, {}
     for g in posets:
-        chains, _ = characterize._first_decomposition(g)
+        chains, _ = _decomposition(g)
         maxes = characterize._maximal_mask(g.poset)
         for chain in chains or ():
-            c = [g.poset.index(e) for e in chain]
-            assert characterize._sweep_fails(g, c, maxes) == any(
+            assert characterize._sweep_fails(g, chain, maxes) == any(
                 characterize._failing_pair(g, *case[2:])
                 for case in characterize._cases(g, [chain]))
         cond = (fp.check_unmixed_structural(g).witness or {}).get("condition")
@@ -400,6 +408,77 @@ def test_chain_decomposition_validation():
         fp.ChainDecomposition(g, (("a1", "a2"),))
     with pytest.raises(InvalidCertificate):
         fp.ChainDecomposition(g, (("a1", "a3"),))
+    # every branch, on the grid a1_1 < a2_1, a2_2 and a1_2 < a2_2
+    g = fp.hom_rt_poset(2, 2)
+    fp.ChainDecomposition(g, (("a1_1", "a2_1"), ("a1_2", "a2_2")))
+    for chains, message in [
+            (((),), "empty chain"),
+            ((("a2_1",),), "chain must start at rank 1: ('a2_1',)"),
+            ((("a1_1",),), "chain must end at a maximal element: ('a1_1',)"),
+            ((("a1_2", "a2_1"), ("a1_1", "a2_2")),
+             "not saturated: a1_2 < a2_1"),
+            ((("a1_1", "a2_2"), ("a1_2", "a2_2")), "chains overlap at a2_2"),
+            ((("a1_1", "a2_1"),), "chains must cover the poset"),
+            ((("zz",),), "chain holds an unknown element: zz"),
+            ((("a1_1", "zz"),), "chain holds an unknown element: zz")]:
+        with pytest.raises(InvalidCertificate) as err:
+            fp.ChainDecomposition(g, chains)
+        assert str(err.value) == message
+
+
+def test_certificate_readers_reject_unknown_elements():
+    # the readers validate what they are given through ChainDecomposition
+    from types import SimpleNamespace
+    g = fp.hom_rt_poset(2, 2)
+    good = fp.check_cm_structural(g).certificate
+    filt = fp.filtrations(good)[0]
+    for chains in ((("zz",),), (("a1_1", "zz"),)):
+        cert = SimpleNamespace(graded=g, chains=chains)
+        for read in (fp.filtrations, fp.dual_variable_order,
+                     lambda c: fp.filtration_to_monomial(filt, c)):
+            with pytest.raises(InvalidCertificate,
+                               match="unknown element: zz"):
+                read(cert)
+
+
+# sha256 over the sort_keys JSON of the unmixed, CM, linear-resolution
+# and bi-CM verdicts and the weak conditions of each poset below, one
+# line each; a change to a value, certificate or witness changes it
+STRUCTURAL_DIGEST = (
+    "66463162cb73175fa11ef69595db74512c30708055e6f764ca29b1c577c7b119")
+
+
+def test_structural_verdicts_are_pinned():
+    import hashlib
+    import json
+    from flagposet.characterize import _layer_ferrers, jsonable
+    pool = (structural_grids_posets(1) + structural_grids_posets(2)
+            + [g for n in range(1, 7) for g, _ in census(n)]
+            + [fp.hom_rt_poset(r, t) for r in range(1, 9)
+               for t in range(1, 9)])
+    h = hashlib.sha256()
+    counts = {}
+    for g in pool:
+        row = [jsonable(fp.check_unmixed_structural(g)),
+               jsonable(fp.check_cm_structural(g)),
+               jsonable(fp.has_linear_resolution_structural(g)),
+               jsonable(fp.is_bi_cm(g)),
+               list(fp.check_weak_conditions(g))]
+        h.update(json.dumps(row, sort_keys=True).encode())
+        h.update(b"\n")
+        # the Ferrers core on child masks against the independent
+        # induced-2K2 search on the named layer; a maximal element below
+        # the top rank is an isolated vertex
+        for i in range(1, g.rbar()):
+            layer = fp.layer_pair(g, i)
+            value = _layer_ferrers(g, i).value
+            isolated = len({a for a, _ in layer.edges}) < len(layer.bottom)
+            assert value == (not isolated and fp.has_2k2(layer) is None)
+            counts[value, isolated] = counts.get((value, isolated), 0) + 1
+    assert h.hexdigest() == STRUCTURAL_DIGEST
+    assert len(pool) == 5499
+    assert counts == {(True, False): 2717, (False, False): 6928,
+                      (False, True): 892}
 
 
 def test_ferrers_and_2k2():

@@ -819,3 +819,16 @@ def test_cross_field_agreement_with_rationals(corpus_b):
 def test_laurent_poly_json():
     p = LaurentPoly({-1: 1, 2: 3})
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+def test_lcm_walk_order_is_size_then_value(corpus_b):
+    # the walk's two plain sorts give the order of the single key
+    # (size, value), largest first, on every corpus ideal and its dual
+    for g in corpus_b:
+        ideal = fp.flag_ideal(g)
+        for walked in (ideal, fp.alexander_dual(ideal)):
+            width = len(walked.variables)
+            masks = [mask for mask, _ in fp.homology._lcm_walk(walked)]
+            assert masks == sorted(
+                masks, key=lambda m: m.bit_count() << width | m, reverse=True)
+            assert len(set(masks)) == len(masks)

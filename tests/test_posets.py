@@ -377,3 +377,16 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         fp.parse_poset_text(text)
     assert err.value.line == line
+
+
+def test_bipartite_layer_rejects_bad_sides():
+    # the Ferrers test and the Herzog-Hibi matching give each vertex one
+    # neighbourhood, so a side may not list a vertex twice
+    edges = frozenset([("a", "c"), ("b", "c")])
+    for bottom, top, message in [(("a", "b", "a"), ("c",), "twice"),
+                                 (("a", "b"), ("c", "c"), "twice"),
+                                 (("a", "b"), ("c", "a"), "disjoint")]:
+        with pytest.raises(InvalidParameter, match=message):
+            fp.BipartiteLayer(bottom, top, edges)
+    with pytest.raises(InvalidParameter, match="leaves the layer"):
+        fp.BipartiteLayer(("a",), ("c",), edges)
