@@ -177,7 +177,7 @@ def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
         return []
     levels: dict[int, list[int]] = {}
     for f in face_masks:
-        levels.setdefault(bin(f).count("1"), []).append(f)
+        levels.setdefault(f.bit_count(), []).append(f)
     maxc = max(levels)
     ordered = [sorted(levels.get(c, [])) for c in range(maxc + 1)]
     index = [{f: i for i, f in enumerate(lv)} for lv in ordered]
@@ -212,8 +212,7 @@ def cohomology_dims(face_masks: Sequence[int], p: int) -> list[int]:
                     f = g ^ b
                     i = get(f)
                     if i is not None:
-                        rows[i][j] = (-1 if bin(f & (b - 1)).count("1") & 1
-                                      else 1)
+                        rows[i][j] = -1 if (f & (b - 1)).bit_count() & 1 else 1
             r = rank_mod_p(rows, p) if p else rank_qq(rows)
         dims.append(len(cur) - r - prev_rank)
         prev_rank = r

@@ -13,9 +13,10 @@ Conventions, pinned once and validated by the test suite:
   resolution).
 
 Betti numbers come three ways, all from nonface bitmasks inside a
-vertex mask.  Wherever faces are listed and eliminated, every field
-goes through one elimination, ``kernel.cohomology_dims``: Gaussian
-elimination over GF(p), fraction-free elimination over QQ.
+vertex mask: ``SquarefreeIdeal.masks`` or the poset's cover edges.
+Wherever faces are listed and eliminated, every field goes through one
+elimination, ``kernel.cohomology_dims``: Gaussian elimination over
+GF(p), fraction-free elimination over QQ.
 
 * Tables and oracles (``betti_multidegree``, ``full_betti_table``,
   ``oracle_verdicts``, ``is_cm_oracle`` and
@@ -48,27 +49,28 @@ elimination over GF(p), fraction-free elimination over QQ.
   there, is peeled with no shift), and a dominated vertex, one whose
   link is a cone (Barmak-Minian, *Strong homotopy types, nerves and
   collapses*, 2012), is deleted, until none applies.  Only what is
-  left is matched: bit-plane counters over the nonfaces pick v, the
-  vertex in the fewest, and ``kernel.morse_cohomology_dims`` matches
-  the pair's faces over every other vertex in turn, eliminating only
-  when the unmatched faces span several degrees.  All 119 shapes of
-  example 4.9 collapse, so its table lists no face and matches
-  nothing.  The walk visits the lcm masks largest first.
-  ``full_betti_table`` takes every mask: it writes the dims vector
-  straight into table entries and builds A's variable set only when
-  it has a nonzero entry.  The oracles build no table and stop once
-  their verdicts are settled: ``has_linear_resolution_oracle`` at the
-  first entry off the linear strand, and ``oracle_verdicts`` once the
-  ideal's walk has seen an entry off the strand and either one with
+  left is matched: v is the vertex in the fewest nonfaces, and
+  ``kernel.morse_cohomology_dims`` matches the pair's faces over every
+  other vertex in turn, eliminating only when the unmatched faces span
+  several degrees.  All 119 shapes of example 4.9 collapse, so its table
+  lists no face and matches nothing.  The walk visits the lcm masks
+  largest first.  ``full_betti_table`` takes every mask: it writes the
+  dims vector straight into table entries and builds A's variable set
+  only when it has a nonzero entry.  The oracles build no table and stop
+  once their verdicts are settled: ``has_linear_resolution_oracle`` at
+  the first entry off the linear strand, and ``oracle_verdicts`` once
+  the ideal's walk has seen an entry off the strand and either one with
   j >= height (then R/I is neither Cohen-Macaulay nor linear) or only
-  masks with fewer than height elements remain; the Eagon-Reiner walk
-  of the dual stops at its own first witness.
+  masks with fewer than height elements remain; the Eagon-Reiner walk of
+  the dual stops at its own first witness.
 * ``restriction_cohomology_poly`` and ``betti_polynomial_bruteforce``
   stay the literal Hochster computation on the whole restriction, with
   plain ``kernel.cohomology_dims``.  They are the reference the excised
   tables and the layer product are checked against, so a fault in
   either cannot hide behind a shared shortcut.
-* ``betti_polynomial_fast`` is the layer product over cover edges.
+* ``betti_polynomial_fast`` and ``graded_betti_table`` are the layer
+  product over cover edges, on masks over element positions that
+  ``complexes.layer_sides`` splits into (B_i, A_{i+1}).
 """
 
 from __future__ import annotations
@@ -101,19 +103,15 @@ def _poly_from_nonfaces(nonface_masks: Sequence[int], sub_mask: int,
 # Hochster formula and Betti polynomials
 # ---------------------------------------------------------------------------
 
-def _multidegree_mask(ideal: SquarefreeIdeal, multidegree: Iterable[str]
-                      ) -> tuple[int, dict[str, int]]:
+def _multidegree_mask(ideal: SquarefreeIdeal,
+                      multidegree: Iterable[str]) -> int:
     index = {v: i for i, v in enumerate(ideal.variables)}
     mask = 0
     for v in multidegree:
         if v not in index:
             raise UnknownVariable(f"unknown variable: {v}")
         mask |= 1 << index[v]
-    return mask, index
-
-
-def _gen_masks(ideal: SquarefreeIdeal, index: dict[str, int]) -> list[int]:
-    return [sum(1 << index[v] for v in g) for g in ideal.generators]
+    return mask
 
 
 def restriction_cohomology_poly(ideal: SquarefreeIdeal,
@@ -125,38 +123,11 @@ def restriction_cohomology_poly(ideal: SquarefreeIdeal,
     simplex on A (contractible for nonempty A, the irrelevant complex
     for A = {}).
     """
-    mask, index = _multidegree_mask(ideal, multidegree)
-    gens = [g for g in _gen_masks(ideal, index) if g & ~mask == 0]
+    mask = _multidegree_mask(ideal, multidegree)
+    gens = [g for g in ideal.masks if g & ~mask == 0]
     if not gens:
         return LaurentPoly.t_power(-1) if mask == 0 else LaurentPoly.zero()
     return _poly_from_nonfaces(gens, mask, f)
-
-
-def _excision_vertex(inside: Sequence[int], mask: int) -> int:
-    """The vertex (as a one-bit mask) of ``mask`` in the fewest of the
-    masks ``inside``, ties to the lowest index.  Only the matching
-    fallback of ``_collapsed_dims`` asks, for a residual shape new to
-    the memo of the current walk that no collapse move reduces further.
-
-    Every vertex's count is kept in binary across bit planes, one
-    ripple-carry addition per mask; the least count is then read off
-    the planes from the top one down.
-    """
-    planes: list[int] = []
-    for g in inside:
-        carry = g
-        for k, plane in enumerate(planes):
-            planes[k] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-    fewest = mask
-    for plane in reversed(planes):
-        if fewest & ~plane:
-            fewest &= ~plane
-    return fewest & -fewest
 
 
 def _compressed(n: int, mask: int) -> int:
@@ -291,10 +262,10 @@ def _collapsed_dims(inside: list[int], mask: int, p: int) -> list[int]:
 
     The peeling round runs again after each drop or deletion, so a
     deletion is only tried once no vertex is single.  Whatever is left
-    is matched: ``_excision_vertex`` picks v, the vertex in the fewest
-    nonfaces, and the pair's faces, the disjoint union over k of t_k | G
-    with G avoiding every other nonface and every earlier t_j, all
-    relative to t_k, go to ``kernel.morse_cohomology_dims``.
+    is matched: v is the vertex in the fewest nonfaces (ties to the
+    lowest index), and the pair's faces, the disjoint union over k of
+    t_k | G with G avoiding every other nonface and every earlier t_j,
+    all relative to t_k, go to ``kernel.morse_cohomology_dims``.
     """
     shift = 0
     while True:
@@ -334,7 +305,8 @@ def _collapsed_dims(inside: list[int], mask: int, p: int) -> list[int]:
             break
         mask ^= w
         inside = [n for n in inside if not n & w]
-    v = _excision_vertex(inside, mask)
+    vertices = [1 << x for x in range(mask.bit_length()) if mask >> x & 1]
+    v = min(vertices, key=lambda b: sum(1 for g in inside if g & b))
     links = [g ^ v for g in inside if g & v]
     others = [g for g in inside if not g & v]
     rest = mask ^ v
@@ -362,8 +334,8 @@ def betti_multidegree(ideal: SquarefreeIdeal, multidegree: Iterable[str],
     a = frozenset(multidegree)
     if len(a) > budget:
         raise BudgetExceeded(f"multidegree larger than budget {budget}")
-    mask, index = _multidegree_mask(ideal, a)
-    inside = [g for g in _gen_masks(ideal, index) if not g & ~mask]
+    mask = _multidegree_mask(ideal, a)
+    inside = [g for g in ideal.masks if not g & ~mask]
     dims = _excised_dims(inside, mask, f.p or 0, {})
     return _betti_vector(dims, len(a))
 
@@ -373,6 +345,25 @@ def betti_polynomial_bruteforce(ideal: SquarefreeIdeal,
                                 f: FieldSpec = GF2) -> LaurentPoly:
     """t^2 * H(restriction, t) = sum_j t^(|A|-j) beta_{j,A}."""
     return restriction_cohomology_poly(ideal, multidegree, f).shift(2)
+
+
+def _layer_product(g: GradedPoset, f: FieldSpec
+                   ) -> Callable[[int], LaurentPoly]:
+    """The layer product of ``betti_polynomial_fast`` on a multidegree
+    given as a mask over element positions, with the cover edges (in
+    ``g.covers`` order) encoded once."""
+    covers = [1 << x | 1 << y
+              for x, ys in enumerate(g.poset.child_indices) for y in ys]
+
+    def product(a: int) -> LaurentPoly:
+        out = LaurentPoly.t_power(g.rbar())
+        for bottom, top in layer_sides(g, a):
+            out = out * _poly_from_nonfaces(covers, bottom | top, f)
+            if out.is_zero():
+                break
+        return out
+
+    return product
 
 
 def betti_polynomial_fast(g: GradedPoset, multidegree: Iterable[str],
@@ -391,14 +382,7 @@ def betti_polynomial_fast(g: GradedPoset, multidegree: Iterable[str],
     if g.rbar() == 0:
         return LaurentPoly.t_power(1)
     index = g.poset.index
-    covers = [1 << index(p) | 1 << index(q) for p, q in g.covers]
-    out = LaurentPoly.t_power(g.rbar())
-    for bottom, top in layer_sides(g, multidegree):
-        vertices = sum(1 << index(e) for e in bottom + top)
-        out = out * _poly_from_nonfaces(covers, vertices, f)
-        if out.is_zero():
-            break
-    return out
+    return _layer_product(g, f)(sum({1 << index(e) for e in multidegree}))
 
 
 @dataclass
@@ -445,12 +429,6 @@ def _lcm_unions(gen_masks: Sequence[int]) -> set[int]:
     return unions
 
 
-def _lcm_masks(gen_masks: Sequence[int]) -> list[int]:
-    """All unions of the generator masks, ordered by size and then by
-    their sorted bit indices."""
-    return kernel.size_lex_sorted(_lcm_unions(gen_masks))
-
-
 def _variable_set(names: Sequence[str], mask: int) -> frozenset[str]:
     out = []
     while mask:
@@ -462,11 +440,10 @@ def _variable_set(names: Sequence[str], mask: int) -> frozenset[str]:
 
 def lcm_lattice(ideal: SquarefreeIdeal) -> list[frozenset[str]]:
     """All unions of generator supports (multidegrees that can carry a
-    nonzero Betti number; anything else restricts to a cone)."""
-    index = {v: i for i, v in enumerate(ideal.variables)}
-    names = ideal.variables
-    return [_variable_set(names, m)
-            for m in _lcm_masks(_gen_masks(ideal, index))]
+    nonzero Betti number; anything else restricts to a cone), ordered by
+    size and then by their sorted variable indices."""
+    return [_variable_set(ideal.variables, m)
+            for m in kernel.size_lex_sorted(_lcm_unions(ideal.masks))]
 
 
 def _check_betti_budget(ideal: SquarefreeIdeal, budget: int) -> None:
@@ -485,14 +462,12 @@ def _lcm_walk(ideal: SquarefreeIdeal) -> Iterator[tuple[int, list[int]]]:
     for the whole walk; for an n-element mask a nonzero ``dims[k]`` with
     k < n is beta_{n-1-k,A}.
     """
-    index = {v: i for i, v in enumerate(ideal.variables)}
-    gens = _gen_masks(ideal, index)
     # by value, then stably by size: two sorts with no Python key call
-    masks = sorted(_lcm_unions(gens), reverse=True)
+    masks = sorted(_lcm_unions(ideal.masks), reverse=True)
     masks.sort(key=int.bit_count, reverse=True)
     for mask in masks:
         outside = ~mask
-        yield mask, [g for g in gens if not g & outside]
+        yield mask, [g for g in ideal.masks if not g & outside]
 
 
 def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
@@ -518,15 +493,21 @@ def full_betti_table(ideal: SquarefreeIdeal, f: FieldSpec = GF2,
 
 def graded_betti_table(g: GradedPoset, f: FieldSpec = GF2) -> BettiTable:
     """All nonzero beta_{j,A} of the flag ideal of g, from the layer
-    product on every lcm-lattice multidegree."""
+    product on every lcm-lattice multidegree, in ``lcm_lattice`` order;
+    A's variable set is built only when it has a nonzero entry."""
     ideal = flag_ideal(g)
+    # flag_ideal takes g.elements as its variables, so bit x of an lcm
+    # mask is element position x, the bits layer_sides reads
+    product = _layer_product(g, f)
     entries: dict[tuple[int, frozenset[str]], int] = {}
-    for a in lcm_lattice(ideal):
-        poly = betti_polynomial_fast(g, a, f)
-        for e, c in poly.coeffs.items():
-            j = len(a) - e
-            if j >= 0:
-                entries[(j, a)] = c
+    for mask in kernel.size_lex_sorted(_lcm_unions(ideal.masks)):
+        n = mask.bit_count()
+        a = None
+        for e, c in product(mask).coeffs.items():
+            if e <= n:
+                if a is None:
+                    a = _variable_set(ideal.variables, mask)
+                entries[(n - e, a)] = c
     return BettiTable(ideal.variables, entries, f)
 
 
@@ -670,28 +651,24 @@ def first_strand_multidegrees(g: GradedPoset) -> Callable[[Iterable[str]], bool]
     With s the smallest rank of a maximal element: A lies within ranks
     1..s with its rank-s part maximal, meets every rank 1..s, and each
     consecutive pair of its layers induces a complete bipartite graph.
+    No element below rank s is maximal, so unlike in
+    ``complexes.layer_sides`` no bottom side loses one; A is tested as a
+    mask against ``rank_masks`` and ``child_masks``.
     """
-    s = g.runder()
-    maxes = set(g.poset.maximal_elements())
+    index = g.poset.index
+    kids = g.poset.child_masks
+    ranks = g.rank_masks[1:g.runder() + 1]
+    within = sum(ranks)
+    maxes = sum(1 << x for x, k in enumerate(kids) if not k)
 
     def predicate(multidegree: Iterable[str]) -> bool:
-        a = frozenset(multidegree)
-        for e in a:
-            g.poset.index(e)
-        layers = [frozenset(x for x in a if g.rank[x] == i)
-                  for i in range(1, s + 1)]
-        if sum(len(l) for l in layers) != len(a):
+        a = sum({1 << index(e) for e in multidegree})
+        layers = [a & r for r in ranks]
+        if (not layers or a & ~within or not all(layers)
+                or layers[-1] & ~maxes):
             return False
-        if any(not l for l in layers):
-            return False
-        if not layers or not (layers[s - 1] <= maxes):
-            return False
-        for i in range(s - 1):
-            bottom = layers[i] - maxes if i > 0 else layers[i]
-            for p in bottom:
-                for q in layers[i + 1]:
-                    if not g.poset.is_cover(p, q):
-                        return False
-        return True
+        return all(not top & ~kids[x]
+                   for bottom, top in zip(layers, layers[1:])
+                   for x in range(bottom.bit_length()) if bottom >> x & 1)
 
     return predicate

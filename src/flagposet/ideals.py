@@ -32,9 +32,11 @@ def minimalize(generators: Iterable[frozenset]) -> list[frozenset]:
 
 
 class SquarefreeIdeal:
-    """Minimal generating set of a squarefree monomial ideal."""
+    """Minimal generating set of a squarefree monomial ideal; ``masks``
+    has one bitmask per generator, in generator order, with bit i
+    standing for ``variables[i]``."""
 
-    __slots__ = ("variables", "generators")
+    __slots__ = ("variables", "generators", "masks")
 
     def __init__(self, variables: Sequence[str], generators: Iterable):
         variables = tuple(variables)
@@ -64,6 +66,7 @@ class SquarefreeIdeal:
                     "generators must be inclusion-incomparable")
         self.variables = variables
         self.generators = tuple(by_mask[m] for m in masks)
+        self.masks = tuple(masks)
 
     @classmethod
     def from_generators(cls, variables: Sequence[str],

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import flagposet as fp
 from flagposet.errors import BudgetExceeded, InvalidParameter, VariableClash
 from flagposet.fields import GF, GF2, QQ, LaurentPoly, poly_from_dims
-from conftest import (RP2_FACETS, census, downward_closure, rp2_flag_poset,
-                      sweep_poset)
+from conftest import (RP2_FACETS, census, downward_closure,
+                      generated_chain_posets, impure_chain_posets,
+                      rp2_flag_poset, sweep_poset)
 
 t = LaurentPoly.t_power
 FIELDS = [GF2, GF(32003), QQ]
@@ -145,16 +146,28 @@ def test_lcm_lattice_order(corpus_b):
                                        if gen <= a)) == a for a in lattice)
 
 
-@pytest.mark.parametrize("f", [GF2, GF(3)], ids=str)
+@pytest.mark.parametrize("f", [GF2, GF(3), QQ], ids=str)
 def test_graded_betti_table_equals_hochster_table(corpus_b, f):
     # the layer product on every lcm-lattice multidegree against the
-    # excised Hochster table, entry for entry
+    # excised Hochster table, entry for entry, on corpus members, on
+    # impure posets (maximal elements on three ranks or more) and on a
+    # poset whose rank-1 element m is maximal; the entries come in
+    # lcm_lattice order
     pool = [g for g in corpus_b[::10] if len(g) <= 10]
     assert len(pool) >= 12
+    impure = [g for g in impure_chain_posets(40) if len(g) <= 10][:10]
+    assert len(impure) == 10
+    pool += impure
     pool.append(fp.example_4_9())
+    pool.append(fp.GradedPoset(fp.Poset(
+        ["m", "p1", "p2", "q1", "q2", "r"],
+        [("p1", "q1"), ("p2", "q1"), ("p2", "q2"), ("q1", "r")])))
     for g in pool:
-        assert fp.graded_betti_table(g, f).entries \
-            == fp.full_betti_table(fp.flag_ideal(g), f).entries, g
+        ideal = fp.flag_ideal(g)
+        table = fp.graded_betti_table(g, f)
+        assert table.entries == fp.full_betti_table(ideal, f).entries, g
+        order = list(dict.fromkeys(a for _, a in table.entries))
+        assert order == [a for a in fp.lcm_lattice(ideal) if a in order], g
 
 
 def test_betti_polynomial_empty_multidegree():
@@ -353,34 +366,27 @@ def test_collapse_empties_the_mask(p):
 def test_excision_peels_example_4_9(monkeypatch):
     # every excision is one round of peeling or a residual shape the
     # table has met before, except 119 shapes new to the table; each of
-    # those collapses all the way, so no fewest-count vertex is looked
-    # for and nothing is matched.  A second table counts the same, so no
-    # memo outlives its table
-    calls = {"collapse": 0, "vertex": 0, "morse": 0}
+    # those collapses all the way, so nothing is matched.  A second
+    # table counts the same, so no memo outlives its table
+    calls = {"collapse": 0, "morse": 0}
     collapsed = fp.homology._collapsed_dims
-    vertex = fp.homology._excision_vertex
     morse = fp.kernel.morse_cohomology_dims
 
     def counting_collapse(inside, mask, p):
         calls["collapse"] += 1
         return collapsed(inside, mask, p)
 
-    def counting_vertex(inside, mask):
-        calls["vertex"] += 1
-        return vertex(inside, mask)
-
     def counting_morse(face_masks, p):
         calls["morse"] += 1
         return morse(face_masks, p)
 
     monkeypatch.setattr(fp.homology, "_collapsed_dims", counting_collapse)
-    monkeypatch.setattr(fp.homology, "_excision_vertex", counting_vertex)
     monkeypatch.setattr(fp.kernel, "morse_cohomology_dims", counting_morse)
     ideal = fp.flag_ideal(fp.example_4_9())
     for _ in range(2):
-        calls.update(collapse=0, vertex=0, morse=0)
+        calls.update(collapse=0, morse=0)
         fp.full_betti_table(ideal, GF2)
-        assert calls == {"collapse": 119, "vertex": 0, "morse": 0}
+        assert calls == {"collapse": 119, "morse": 0}
     # K_{6,6} has (2^6 - 1)^2 lcm multidegrees B | T but only 5^2
     # residual shapes, which is what the memo is for; each restriction
     # is two disjoint simplices, so beta_{|A|-2,A} = 1 is its one entry
@@ -391,9 +397,9 @@ def test_excision_peels_example_4_9(monkeypatch):
     lattice = fp.lcm_lattice(k66)
     assert len(lattice) == 3969
     for f in (GF2, GF(3), QQ):
-        calls.update(collapse=0, vertex=0, morse=0)
+        calls.update(collapse=0, morse=0)
         table = fp.full_betti_table(k66, f)
-        assert calls == {"collapse": 25, "vertex": 0, "morse": 0}, f
+        assert calls == {"collapse": 25, "morse": 0}, f
         assert table.entries == {(len(a) - 2, a): 1 for a in lattice}
 
 
@@ -458,7 +464,7 @@ def test_excision_memo_keys_residual_shapes(f, monkeypatch):
     ideal = _rp2_ideal()
     gens = [sum(1 << "123456".index(v) for v in g) for g in ideal.generators]
     memo = {}
-    for mask in fp.homology._lcm_masks(gens):
+    for mask in fp.kernel.size_lex_sorted(fp.homology._lcm_unions(gens)):
         dims = excised([g for g in gens if not g & ~mask], mask, memo)
     assert mask == 0b111111
     expected = [0, 0, 1, 1, 0, 0] if f == GF2 else [0] * 6
@@ -799,6 +805,26 @@ def test_first_strand_predicate():
         ("p1", "p2"), ("q1", "q2"),
         [(p, q) for p in ("p1", "p2") for q in ("q1", "q2")]))
     assert fp.first_strand_multidegrees(k22)(("p1", "p2", "q1", "q2"))
+
+
+def test_first_strand_predicate_on_impure_posets():
+    # the predicate against the t^s coefficient of the layer product on
+    # every nonempty multidegree of the small seeded posets whose
+    # maximal elements lie on several ranks, or that have an isolated
+    # rank-1 maximal element
+    pool = [g for g in impure_chain_posets(200) + generated_chain_posets(200)
+            if len(g) <= 10]
+    assert len(pool) == 217
+    assert any(not g.is_pure() and g.runder() > 1 for g in pool)
+    assert any(g.runder() == 1 and g.rbar() > 1 for g in pool)
+    for g in pool:
+        pred = fp.first_strand_multidegrees(g)
+        s = g.runder()
+        for k in range(1, len(g) + 1):
+            for a in itertools.combinations(g.elements, k):
+                assert pred(a) \
+                    == (fp.betti_polynomial_fast(g, a).coefficient(s) != 0), \
+                    (g, a)
 
 
 def test_cross_field_agreement_with_rationals(corpus_b):
