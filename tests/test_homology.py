@@ -858,3 +858,90 @@ def test_lcm_walk_order_is_size_then_value(corpus_b):
             assert masks == sorted(
                 masks, key=lambda m: m.bit_count() << width | m, reverse=True)
             assert len(set(masks)) == len(masks)
+
+
+# sha256 over the entries of full_betti_table, in insertion order with
+# their values, and over oracle_verdicts, of every ideal of
+# _pinned_ideals: all of them over GF(2), every fifth and the named
+# examples, the hom grids and the plane over GF(3) and QQ
+TABLE_DIGESTS = {
+    GF2: "0befcbe5f12d48f43459fc089be0d3782ee8019036cd85c56ba17eb09d751251",
+    GF(3): "59eb664db0ab1c7c172ac27510ee14a34f73b0b2a22f3191ed4fdcf11f4212d2",
+    QQ: "59eb664db0ab1c7c172ac27510ee14a34f73b0b2a22f3191ed4fdcf11f4212d2",
+}
+
+
+def _pinned_ideals(corpus_b, named_graded):
+    posets = corpus_b + [g for n in range(1, 6) for g, _ in census(n)]
+    posets += list(named_graded.values())
+    posets += [fp.hom_rt_poset(r, s) for r in range(1, 5) for s in range(1, 5)]
+    ideals = [fp.flag_ideal(g) for g in posets] + [_rp2_ideal()]
+    tail = len(named_graded) + 16 + 1
+    return {GF2: ideals, GF(3): ideals[::5] + ideals[-tail:],
+            QQ: ideals[::5] + ideals[-tail:]}
+
+
+def test_betti_tables_and_oracle_verdicts_are_pinned(corpus_b, named_graded):
+    import hashlib
+    for f, ideals in _pinned_ideals(corpus_b, named_graded).items():
+        h = hashlib.sha256()
+        for ideal in ideals:
+            for (j, a), b in fp.full_betti_table(ideal, f).entries.items():
+                h.update(f"{j} {','.join(sorted(a))} {b};".encode())
+            h.update(repr(fp.oracle_verdicts(ideal, f)).encode() + b"\n")
+        assert h.hexdigest() == TABLE_DIGESTS[f], (f, h.hexdigest())
+
+
+def test_live_masks_are_the_non_void_lcm_masks(corpus_b, named_graded):
+    # the cube's lcm masks are _lcm_unions, and the walk keeps, in its
+    # order, exactly the ones whose peeling round does not end void:
+    # the cube's second evaluation of _peeled's void exit against the
+    # first.  hom(4, 5) has 20 variables and several slabs; the union of
+    # 3.4's flag ideal and a path on eight vertices has 17, with voids
+    # on both sides of the slab boundary
+    ideals = [fp.flag_ideal(g) for g in corpus_b]
+    ideals += [fp.alexander_dual(ideal) for ideal in ideals]
+    posets = [g for n in range(1, 6) for g, _ in census(n)]
+    posets += [named_graded[k] for k in ("3.4", "3.6", "4.9")]
+    bottom = tuple(f"b{i}" for i in range(6))
+    top = tuple(f"t{i}" for i in range(6))
+    posets += [rp2_flag_poset(), fp.hom_rt_poset(4, 5),
+               fp.GradedPoset(fp.bipartite_poset(
+                   bottom, top, [(b, u) for b in bottom for u in top]))]
+    ideals += [fp.flag_ideal(g) for g in posets] + [_rp2_ideal()]
+    flag = fp.flag_ideal(named_graded["3.4"])
+    path = [frozenset({f"x{i}", f"x{i + 1}"}) for i in range(1, 8)]
+    ideals += [fp.SquarefreeIdeal(
+                   flag.variables + tuple(f"x{i}" for i in range(1, 9)),
+                   list(flag.generators) + path),
+               fp.SquarefreeIdeal("ab", []),
+               fp.SquarefreeIdeal("abc", [frozenset("ac")])]
+    assert len(ideals[-3].variables) == 17
+    for ideal in ideals:
+        width = len(ideal.variables)
+        unions = fp.homology._lcm_unions(ideal.masks)
+        lcm = set()
+        for base, vec, _ in fp.homology._cube(ideal.masks, width):
+            lcm |= {base | a for a, bit in enumerate(bin(vec)[:1:-1])
+                    if bit == "1"}
+        assert lcm == unions, ideal
+        expected = [
+            mask for mask in sorted(unions, reverse=True,
+                                    key=lambda m: m.bit_count() << width | m)
+            if fp.homology._peeled(
+                [g for g in ideal.masks if not g & ~mask], mask) is not None]
+        assert [m for m, _ in fp.homology._lcm_walk(ideal)] == expected, \
+            ideal
+
+
+def test_betti_budget_fires_before_the_cube(monkeypatch):
+    def cube(*args):
+        raise AssertionError("subset cube built past the budget")
+
+    monkeypatch.setattr(fp.homology, "_cube", cube)
+    ideal = _ideal(*(f"x{i} x{i + 1}" for i in range(1, 19)))
+    assert len(ideal.variables) == 19
+    for oracle in (fp.full_betti_table, fp.has_linear_resolution_oracle,
+                   fp.oracle_verdicts):
+        with pytest.raises(BudgetExceeded):
+            oracle(ideal)
